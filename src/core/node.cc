@@ -528,32 +528,6 @@ void Node::HandleMessage(const Message& message) {
       RetryPendingPipes();
       return;
 
-    case MessageType::kConfigBroadcast: {
-      Result<ConfigBroadcastPayload> parsed =
-          ConfigBroadcastPayload::Deserialize(message.payload);
-      if (!parsed.ok()) {
-        CODB_LOG(kWarning) << name_ << ": bad config broadcast: "
-                           << parsed.status().ToString();
-        return;
-      }
-      Result<NetworkConfig> config =
-          NetworkConfig::Parse(parsed.value().config_text);
-      if (!config.ok()) {
-        CODB_LOG(kError) << name_ << ": config did not parse: "
-                         << config.status().ToString();
-        return;
-      }
-      Status applied =
-          ApplyConfigLocked(config.value(), parsed.value().version,
-                            /*cyclic_rules=*/nullptr,
-                            /*has_any_cycle=*/false);
-      if (!applied.ok()) {
-        CODB_LOG(kError) << name_ << ": config rejected: "
-                         << applied.ToString();
-      }
-      return;
-    }
-
     case MessageType::kConfigSlice:
       HandleConfigSlice(message);
       return;
@@ -574,33 +548,21 @@ void Node::HandleMessage(const Message& message) {
     case MessageType::kUpdateData:
     case MessageType::kLinkClosed:
     case MessageType::kUpdateComplete:
-      DispatchFlowMessage(message, /*to_update=*/true);
-      return;
-
     case MessageType::kQueryRequest:
     case MessageType::kQueryResult:
     case MessageType::kQueryDone:
-      DispatchFlowMessage(message, /*to_update=*/false);
-      return;
-
-    case MessageType::kUpdateAck: {
-      Result<AckPayload> ack = AckPayload::Deserialize(message.payload);
-      if (!ack.ok()) return;
-      DispatchFlowMessage(
-          message,
-          /*to_update=*/ack.value().flow.scope == FlowId::Scope::kUpdate);
-      return;
-    }
-
+    case MessageType::kUpdateAck:
     case MessageType::kDeliveryAck: {
-      // Delivery receipts route by flow scope, like D-S acks.
-      Result<DeliveryAckPayload> receipt =
-          DeliveryAckPayload::Deserialize(message.payload);
-      if (!receipt.ok()) return;
-      DispatchFlowMessage(
-          message,
-          /*to_update=*/receipt.value().flow.scope ==
-              FlowId::Scope::kUpdate);
+      // Every flow message starts with its FlowId, whose scope picks the
+      // manager (D-S acks and delivery receipts serve both).
+      Result<FlowId> flow = PeekFlowId(message.payload);
+      if (!flow.ok()) {
+        CODB_LOG(kWarning) << name_ << ": bad "
+                           << MessageTypeName(message.type) << ": "
+                           << flow.status().ToString();
+        return;
+      }
+      DispatchFlowMessage(message, flow.value());
       return;
     }
 
@@ -626,36 +588,25 @@ void Node::HandleMessage(const Message& message) {
   }
 }
 
-void Node::DispatchFlowMessage(const Message& message, bool to_update) {
-  if (ConcurrentFlows()) {
-    // Strand dispatch: per-flow FIFO order, cross-flow concurrency. The
-    // strand task captures the manager shared_ptr at dispatch time, so a
-    // reconfiguration swapping managers cannot pull it out from under a
-    // running flow.
-    Result<FlowId> flow = PeekFlowId(message.payload);
-    if (flow.ok()) {
-      if (to_update) {
-        if (std::shared_ptr<UpdateManager> manager = update_manager_) {
-          flow_exec_->Post(flow.value(), [manager, message] {
-            manager->HandleMessage(message);
-          });
-        }
-      } else {
-        if (std::shared_ptr<QueryManager> manager = query_manager_) {
-          flow_exec_->Post(flow.value(), [manager, message] {
-            manager->HandleMessage(message);
-          });
-        }
-      }
+void Node::DispatchFlowMessage(const Message& message, const FlowId& flow) {
+  auto dispatch = [&](auto manager) {
+    if (manager == nullptr) return;
+    if (!ConcurrentFlows()) {
+      manager->HandleMessage(message);
       return;
     }
-    // Unparseable flow id: fall through to the inline path, where the
-    // manager's own parse error reporting applies.
-  }
-  if (to_update) {
-    if (update_manager_ != nullptr) update_manager_->HandleMessage(message);
+    // Strand dispatch: per-flow FIFO order, cross-flow concurrency. The
+    // strand task holds the manager shared_ptr taken at dispatch time, so
+    // a reconfiguration swapping managers cannot pull it out from under a
+    // running flow.
+    flow_exec_->Post(flow, [manager, message] {
+      manager->HandleMessage(message);
+    });
+  };
+  if (flow.scope == FlowId::Scope::kUpdate) {
+    dispatch(update_manager_);
   } else {
-    if (query_manager_ != nullptr) query_manager_->HandleMessage(message);
+    dispatch(query_manager_);
   }
 }
 

@@ -110,7 +110,7 @@ class Node : public NetworkPeer {
   // link graph and the DBM. Older versions than the current one are
   // ignored. (The super-peer delivers per-node slices via kConfigSlice and
   // kConfigDelta — DESIGN.md §13; tests and examples may still call this
-  // directly with a full config, or send legacy kConfigBroadcast.)
+  // directly with a full config.)
   Status ApplyConfig(const NetworkConfig& config, uint64_t version);
 
   bool has_config() const { return config_ != nullptr; }
@@ -278,9 +278,9 @@ class Node : public NetworkPeer {
   // running inline under mutex_.
   bool ConcurrentFlows() const;
 
-  // Routes a flow-scoped message to its manager, either inline or on the
-  // flow's strand. `to_update` picks the manager.
-  void DispatchFlowMessage(const Message& message, bool to_update);
+  // Routes a message of `flow` to the manager of its scope, either inline
+  // or on the flow's strand.
+  void DispatchFlowMessage(const Message& message, const FlowId& flow);
 
   // Publishes the exec.* gauges (pool + store-lock health) into the
   // metrics registry; called when a stats report is cut.

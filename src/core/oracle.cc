@@ -120,19 +120,7 @@ Result<NetworkInstance> Oracle::PathBounded(const NetworkConfig& config,
           item.path.end()) {
         continue;
       }
-      std::vector<Tuple> frontiers;
-      for (const auto& [relation, rows] : delta) {
-        bool referenced = std::find_if(
-                              next.query().body.begin(),
-                              next.query().body.end(),
-                              [&](const Atom& atom) {
-                                return atom.predicate == relation;
-                              }) != next.query().body.end();
-        if (!referenced) continue;
-        std::vector<Tuple> partial =
-            next.EvaluateFrontierDelta(store, relation, rows);
-        frontiers.insert(frontiers.end(), partial.begin(), partial.end());
-      }
+      std::vector<Tuple> frontiers = next.EvaluateFrontierDelta(store, delta);
       std::vector<Tuple> fresh;
       for (Tuple& frontier : frontiers) {
         if (sent[dependent].insert(frontier).second) {

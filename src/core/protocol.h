@@ -143,15 +143,6 @@ struct QueryDonePayload {
 
 // -- super-peer --------------------------------------------------------------
 
-struct ConfigBroadcastPayload {
-  uint64_t version = 0;
-  std::string config_text;
-
-  std::vector<uint8_t> Serialize() const;
-  static Result<ConfigBroadcastPayload> Deserialize(
-      const std::vector<uint8_t>& payload);
-};
-
 struct StatsRequestPayload {
   uint64_t request_id = 0;
   std::vector<uint8_t> Serialize() const;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "core/consistency.h"
 #include "obs/trace.h"
 #include "query/evaluator.h"
 #include "util/logging.h"
@@ -31,28 +30,11 @@ QueryManager::QueryManager(NetworkBase* network, PeerId self,
       m_results_out_(stats->metrics().GetCounter("query.results_out")),
       m_done_in_(stats->metrics().GetCounter("query.done_in")),
       m_rule_evals_(stats->metrics().GetCounter("query.rule_evals")),
-      m_dups_suppressed_(
-          stats->metrics().GetCounter("query.dups_suppressed")),
-      m_root_terminations_(
-          stats->metrics().GetCounter("query.root_terminations")),
-      m_aborted_(stats->metrics().GetCounter("query.aborted")),
-      termination_(self, [this](PeerId to, const FlowId& flow) {
-        AckPayload ack{flow};
-        // Sequenced + retransmitted, like the update-side D-S ack.
-        reliable_.Send(MakeMessage(self_, to, MessageType::kUpdateAck,
-                                   ack.Serialize()),
-                       flow, /*basic=*/false);
-      }),
-      reliable_(network, reliability,
-                [this](const FlowId& flow, PeerId dst, bool basic) {
-                  // Runs from a retransmit timer, outside HandleMessage.
-                  std::lock_guard<std::recursive_mutex> lock(mu_);
-                  if (basic) termination_.CancelOne(flow, dst);
-                  termination_.MaybeQuiesce();
-                },
-                stats->metrics().GetCounter("query.retransmits"),
-                stats->metrics().GetCounter("query.send_give_ups"),
-                stats->metrics().GetCounter("net.retx.bytes")),
+      session_(network, self, node_name_, wrapper, config, stats,
+               FlowId::Scope::kQuery, reliability,
+               [this](const Message& message, const FlowId&) {
+                 Deliver(message);
+               }),
       query_seq_(query_seq) {}
 
 Status QueryManager::Init() {
@@ -64,14 +46,6 @@ Status QueryManager::Init() {
     compiled_incoming_.emplace(rule->id(), std::move(compiled));
   }
   return Status::Ok();
-}
-
-Result<PeerId> QueryManager::ResolvePeer(const std::string& node_name) const {
-  auto it = peer_cache_.find(node_name);
-  if (it != peer_cache_.end()) return it->second;
-  CODB_ASSIGN_OR_RETURN(PeerId id, network_->FindByName(node_name));
-  peer_cache_.emplace(node_name, id);
-  return id;
 }
 
 QueryManager::QueryState& QueryManager::StateOf(const FlowId& query) {
@@ -98,14 +72,13 @@ Database& QueryManager::OverlayOf(QueryState& state) {
 
 Result<FlowId> QueryManager::StartQuery(const ConjunctiveQuery& query,
                                         ProgressFn on_progress) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+  std::lock_guard<std::recursive_mutex> lock(session_.monitor());
   CODB_RETURN_IF_ERROR(query.Validate());
   if (query.head.size() != 1 || !query.ExistentialVars().empty()) {
     return Status::InvalidArgument(
         "node queries need a single, safe head atom");
   }
   DatabaseSchema own_schema = config_->SchemaOf(node_name_);
-  DatabaseSchema head_schema;  // head predicate is virtual; skip head check
   for (const Atom& atom : query.body) {
     if (own_schema.FindRelation(atom.predicate) == nullptr) {
       return Status::NotFound("query body predicate '" + atom.predicate +
@@ -127,19 +100,7 @@ Result<FlowId> QueryManager::StartQuery(const ConjunctiveQuery& query,
   UpdateReport& report = stats_->ReportFor(id);
   report.start_virtual_us = network_->now_us();
 
-  termination_.StartRoot(id, [this](const FlowId& flow) {
-    m_root_terminations_->Add();
-    FinishOwned(flow);
-  });
-  if (reliable_.options().enabled &&
-      reliable_.options().flow_deadline_us > 0) {
-    std::weak_ptr<void> alive = reliable_.liveness();
-    network_->ScheduleAfter(reliable_.options().flow_deadline_us,
-                            [this, alive, id] {
-                              if (alive.expired()) return;
-                              AbortIfIncomplete(id);
-                            });
-  }
+  session_.StartRoot(id, [this](const FlowId& flow) { FinishOwned(flow); });
 
   std::vector<std::string> needed;
   for (const Atom& atom : query.body) {
@@ -149,7 +110,7 @@ Result<FlowId> QueryManager::StartQuery(const ConjunctiveQuery& query,
     }
   }
   Fetch(id, state, needed, /*label=*/{self_.value});
-  termination_.MaybeQuiesce();
+  session_.MaybeQuiesce();
   return id;
 }
 
@@ -169,7 +130,7 @@ void QueryManager::Fetch(const FlowId& query, QueryState& state,
     }
     if (!relevant) continue;
 
-    Result<PeerId> exporter = ResolvePeer(rule->exporter());
+    Result<PeerId> exporter = session_.ResolvePeer(rule->exporter());
     if (!exporter.ok()) continue;
     if (std::find(label.begin(), label.end(), exporter.value().value) !=
         label.end()) {
@@ -181,55 +142,18 @@ void QueryManager::Fetch(const FlowId& query, QueryState& state,
     request.query = query;
     request.rule_id = rule->id();
     request.label = label;
-    SendBasic(query, exporter.value(), MessageType::kQueryRequest,
-              request.Serialize());
+    session_.SendBasic(query, exporter.value(), MessageType::kQueryRequest,
+                       request.Serialize());
     stats_->ReportFor(query).acquaintances_queried.insert(
         exporter.value().value);
   }
 }
 
-bool QueryManager::AcceptDelivery(const Message& message) {
-  if (message.seq == 0) return true;
-  Result<FlowId> flow = PeekFlowId(message.payload);
-  if (!flow.ok()) return true;
-  DeliveryAckPayload receipt{flow.value(), message.seq};
-  network_->Send(MakeMessage(self_, message.src, MessageType::kDeliveryAck,
-                             receipt.Serialize()));
-  switch (dup_filter_.Check(flow.value(), message.src, message.seq)) {
-    case DupFilter::Verdict::kDeliver:
-      return true;
-    case DupFilter::Verdict::kDuplicate:
-      m_dups_suppressed_->Add();
-      return false;
-    case DupFilter::Verdict::kHold:
-      dup_filter_.Hold(flow.value(), message.src, message);
-      return false;
-  }
-  return false;
-}
-
-void QueryManager::DrainReady(const Message& delivered) {
-  if (delivered.seq == 0) return;
-  Result<FlowId> flow = PeekFlowId(delivered.payload);
-  if (!flow.ok()) return;
-  while (std::optional<Message> ready =
-             dup_filter_.NextReady(flow.value(), delivered.src)) {
-    HandleMessage(*ready);
-  }
-}
-
 void QueryManager::HandleMessage(const Message& message) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  if (message.type == MessageType::kDeliveryAck) {
-    Result<DeliveryAckPayload> receipt =
-        DeliveryAckPayload::Deserialize(message.payload);
-    if (receipt.ok()) {
-      reliable_.OnDeliveryAck(receipt.value().flow, message.src,
-                              receipt.value().acked_seq);
-    }
-    return;
-  }
-  if (!AcceptDelivery(message)) return;
+  session_.Receive(message);
+}
+
+void QueryManager::Deliver(const Message& message) {
   switch (message.type) {
     case MessageType::kQueryRequest:
       OnRequest(message);
@@ -240,19 +164,11 @@ void QueryManager::HandleMessage(const Message& message) {
     case MessageType::kQueryDone:
       OnDone(message);
       break;
-    case MessageType::kUpdateAck: {
-      Result<AckPayload> ack = AckPayload::Deserialize(message.payload);
-      if (ack.ok()) termination_.OnAck(ack.value().flow, message.src);
-      break;
-    }
     default:
       CODB_LOG(kWarning) << node_name_ << ": query manager got unexpected "
                          << MessageTypeName(message.type);
       break;
   }
-  termination_.MaybeQuiesce();
-  // This delivery may have filled the gap in front of parked arrivals.
-  DrainReady(message);
 }
 
 void QueryManager::OnRequest(const Message& message) {
@@ -268,7 +184,7 @@ void QueryManager::OnRequest(const Message& message) {
   ScopedSpan span(Tracer::Global().BeginSpanHere(
       "query.request", request.query.ToString()));
   Tracer::Global().AddArg(span.id(), "rule", request.rule_id);
-  termination_.OnBasicMessage(request.query, message.src);
+  session_.OnBasicMessage(request.query, message.src);
 
   auto rule_it = compiled_incoming_.find(request.rule_id);
   if (rule_it == compiled_incoming_.end()) {
@@ -299,7 +215,7 @@ void QueryManager::Serve(
     const std::map<std::string, std::vector<Tuple>>* delta) {
   // Local inconsistency does not propagate: serve nothing while the local
   // store violates its own constraints.
-  if (LocallyInconsistent()) return;
+  if (session_.LocallyInconsistent()) return;
   const CoordinationRule& rule = compiled_incoming_.at(rule_id);
   QueryState::Serving& serving = state.serving.at(rule_id);
   Database& overlay = OverlayOf(state);
@@ -312,22 +228,9 @@ void QueryManager::Serve(
   // The overlay is private to this query and only touched under the
   // monitor, so no store guard is needed; the evaluator may still fan the
   // join out over the worker pool.
-  std::vector<Tuple> frontiers;
-  if (delta == nullptr) {
-    frontiers = rule.EvaluateFrontier(overlay, eval_);
-  } else {
-    for (const auto& [relation, rows] : *delta) {
-      bool referenced =
-          std::find_if(rule.query().body.begin(), rule.query().body.end(),
-                       [&](const Atom& atom) {
-                         return atom.predicate == relation;
-                       }) != rule.query().body.end();
-      if (!referenced) continue;
-      std::vector<Tuple> partial =
-          rule.EvaluateFrontierDelta(overlay, relation, rows, eval_);
-      frontiers.insert(frontiers.end(), partial.begin(), partial.end());
-    }
-  }
+  std::vector<Tuple> frontiers =
+      delta == nullptr ? rule.EvaluateFrontier(overlay, eval_)
+                       : rule.EvaluateFrontierDelta(overlay, *delta, eval_);
 
   std::vector<Tuple> fresh;
   for (Tuple& frontier : frontiers) {
@@ -347,8 +250,8 @@ void QueryManager::Serve(
   size_t tuple_count = result.tuples.size();
   std::vector<uint8_t> payload = result.Serialize();
   size_t bytes = payload.size() + Message::kHeaderBytes;
-  SendBasic(query, serving.requester, MessageType::kQueryResult,
-            std::move(payload));
+  session_.SendBasic(query, serving.requester, MessageType::kQueryResult,
+                     std::move(payload));
   m_results_out_->Add();
 
   UpdateReport& report = stats_->ReportFor(query);
@@ -374,7 +277,7 @@ void QueryManager::OnResult(const Message& message) {
   ScopedSpan span(Tracer::Global().BeginSpanHere(
       "query.result", result.query.ToString()));
   Tracer::Global().AddArg(span.id(), "rule", result.rule_id);
-  termination_.OnBasicMessage(result.query, message.src);
+  session_.OnBasicMessage(result.query, message.src);
 
   QueryState& state = StateOf(result.query);
   Database& overlay = OverlayOf(state);
@@ -420,7 +323,6 @@ void QueryManager::OnResult(const Message& message) {
 
 void QueryManager::FinishOwned(const FlowId& query) {
   QueryState& state = StateOf(query);
-  if (state.done) return;
   state.done = true;
 
   UpdateReport& report = stats_->ReportFor(query);
@@ -431,26 +333,8 @@ void QueryManager::FinishOwned(const FlowId& query) {
   // Tell participants to drop their per-query state. Sequenced +
   // retransmitted: a lost done-flood would leak per-query overlays.
   done_flood_seen_.insert(query);
-  QueryDonePayload done{query};
-  for (PeerId neighbor : Acquaintances()) {
-    reliable_.Send(MakeMessage(self_, neighbor, MessageType::kQueryDone,
-                               done.Serialize()),
-                   query, /*basic=*/false);
-  }
-}
-
-void QueryManager::AbortIfIncomplete(const FlowId& query) {
-  // Entered from the flow-deadline timer, outside HandleMessage.
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  QueryState& state = StateOf(query);
-  if (!state.owned || state.done) return;
-  CODB_LOG(kWarning) << node_name_ << ": deadline expired for "
-                     << query.ToString()
-                     << "; finishing with partial results";
-  m_aborted_->Add();
-  stats_->ReportFor(query).aborted = true;
-  termination_.Abort(query);
-  FinishOwned(query);
+  session_.Flood(query, MessageType::kQueryDone,
+                 QueryDonePayload{query}.Serialize(), /*via=*/PeerId());
 }
 
 void QueryManager::OnDone(const Message& message) {
@@ -464,62 +348,22 @@ void QueryManager::OnDone(const Message& message) {
   if (it != queries_.end() && !it->second.owned) {
     queries_.erase(it);
   }
-  for (PeerId neighbor : Acquaintances()) {
-    if (neighbor == message.src) continue;
-    reliable_.Send(MakeMessage(self_, neighbor, MessageType::kQueryDone,
-                               message.payload),
-                   query, /*basic=*/false);
-  }
+  session_.Flood(query, MessageType::kQueryDone, message.payload,
+                 /*via=*/message.src);
 }
 
 void QueryManager::HandlePipeClosed(PeerId other) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  reliable_.OnPeerLost(other);
-  termination_.OnPeerLost(other);
-  termination_.MaybeQuiesce();
-}
-
-void QueryManager::SendBasic(const FlowId& query, PeerId dst,
-                             MessageType type, std::vector<uint8_t> payload) {
-  Status sent = reliable_.Send(
-      MakeMessage(self_, dst, type, std::move(payload)), query,
-      /*basic=*/true);
-  if (sent.ok()) {
-    termination_.OnSent(query, dst);
-  } else {
-    CODB_LOG(kDebug) << node_name_ << ": query send failed: "
-                     << sent.ToString();
-  }
-}
-
-std::vector<PeerId> QueryManager::Acquaintances() const {
-  std::vector<PeerId> out;
-  for (const std::string& name : config_->AcquaintancesOf(node_name_)) {
-    Result<PeerId> peer = ResolvePeer(name);
-    if (peer.ok() && network_->IsAlive(peer.value()) &&
-        network_->HasPipe(self_, peer.value()) &&
-        (presumed_alive_ == nullptr || presumed_alive_(peer.value()))) {
-      out.push_back(peer.value());
-    }
-  }
-  return out;
-}
-
-bool QueryManager::LocallyInconsistent() const {
-  const NodeDecl* decl = config_->FindNode(node_name_);
-  if (decl == nullptr || decl->keys.empty()) return false;
-  ShardedRWLock::ReadAllGuard read_guard(wrapper_->store_lock());
-  return !FindKeyViolations(wrapper_->storage(), decl->keys).empty();
+  session_.PeerLost(other, /*reexamine=*/nullptr);
 }
 
 bool QueryManager::IsDone(const FlowId& query) const {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+  std::lock_guard<std::recursive_mutex> lock(session_.monitor());
   auto it = queries_.find(query);
   return it != queries_.end() && it->second.done;
 }
 
 size_t QueryManager::ForeignQueryStates() const {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+  std::lock_guard<std::recursive_mutex> lock(session_.monitor());
   size_t count = 0;
   for (const auto& [id, state] : queries_) {
     if (!state.owned) ++count;
@@ -528,18 +372,13 @@ size_t QueryManager::ForeignQueryStates() const {
 }
 
 Result<std::vector<Tuple>> QueryManager::Answers(const FlowId& query) const {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+  std::lock_guard<std::recursive_mutex> lock(session_.monitor());
   auto it = queries_.find(query);
   if (it == queries_.end() || !it->second.owned) {
     return Status::NotFound("not the origin of " + query.ToString());
   }
   const QueryState& state = it->second;
-  // Owned queries always have an overlay; the storage fallback (read
-  // under the store lock) covers states deserialized by older paths.
-  std::optional<ShardedRWLock::ReadAllGuard> read_guard;
-  if (state.overlay == nullptr) read_guard.emplace(wrapper_->store_lock());
-  const Database& db =
-      state.overlay != nullptr ? *state.overlay : wrapper_->storage();
+  const Database& db = *state.overlay;  // StartQuery created it
   if (!state.compiled_user_query.has_value()) {
     const ConjunctiveQuery& q = state.user_query;
     std::vector<std::string> output;

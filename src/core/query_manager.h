@@ -20,7 +20,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <set>
 #include <string>
@@ -28,13 +27,12 @@
 #include <vector>
 
 #include "core/config.h"
-#include "query/evaluator.h"
+#include "core/flow_session.h"
 #include "core/link_graph.h"
 #include "core/protocol.h"
-#include "core/reliability.h"
 #include "core/statistics.h"
-#include "core/termination.h"
 #include "net/network_interface.h"
+#include "query/evaluator.h"
 #include "wrapper/wrapper.h"
 
 namespace codb {
@@ -77,7 +75,7 @@ class QueryManager {
   // Liveness predicate from the node's membership layer (see
   // UpdateManager::SetPresumedAlive). Null = historical behaviour.
   void SetPresumedAlive(std::function<bool(PeerId)> predicate) {
-    presumed_alive_ = std::move(predicate);
+    session_.SetPresumedAlive(std::move(predicate));
   }
 
   // True once the diffusing computation of an owned query terminated.
@@ -99,7 +97,7 @@ class QueryManager {
 
   // Unacked sequenced messages still held for retransmission (see
   // UpdateManager::PendingReliable).
-  uint64_t PendingReliable() const { return reliable_.pending_count(); }
+  uint64_t PendingReliable() const { return session_.PendingReliable(); }
 
  private:
   struct QueryState {
@@ -150,35 +148,12 @@ class QueryManager {
              const std::string& rule_id,
              const std::map<std::string, std::vector<Tuple>>* delta);
 
-  void SendBasic(const FlowId& query, PeerId dst, MessageType type,
-                 std::vector<uint8_t> payload);
-
+  // Runs once at the origin, when the query terminates or its deadline
+  // aborts it: final progress callback, then the done-flood.
   void FinishOwned(const FlowId& query);
 
-  // Flow-deadline expiry at the origin: reports the query aborted and
-  // finishes it with whatever results arrived.
-  void AbortIfIncomplete(const FlowId& query);
-
-  // Receipt-acks a sequenced message, filters duplicates and parks
-  // out-of-order arrivals (see UpdateManager::AcceptDelivery).
-  bool AcceptDelivery(const Message& message);
-
-  // Processes parked arrivals that `delivered` made next-in-order.
-  void DrainReady(const Message& delivered);
-
-  Result<PeerId> ResolvePeer(const std::string& node_name) const;
-
-  // Alive, pipe-connected rule acquaintances (flood targets).
-  std::vector<PeerId> Acquaintances() const;
-
-  // True when this node's store violates its own key constraints.
-  bool LocallyInconsistent() const;
-
-  // Monitor serializing this manager's handlers, timers, and answer reads
-  // (DESIGN.md §10); see UpdateManager::mu_ for the rationale. Cross-flow
-  // concurrency comes from the update manager running on its own strand
-  // and from the evaluator's worker pool, not from reentering here.
-  mutable std::recursive_mutex mu_;
+  // The session's protocol dispatch: one in-order, first-time delivery.
+  void Deliver(const Message& message);
 
   NetworkBase* network_;
   PeerId self_;
@@ -189,7 +164,6 @@ class QueryManager {
   StatisticsModule* stats_;
   NullMinter* minter_;
   EvalOptions eval_;
-  std::function<bool(PeerId)> presumed_alive_;  // null = no membership
 
   // Cached instruments from stats_->metrics() (see update_manager.h).
   Counter* m_started_;
@@ -198,17 +172,16 @@ class QueryManager {
   Counter* m_results_out_;
   Counter* m_done_in_;
   Counter* m_rule_evals_;
-  Counter* m_dups_suppressed_;
-  Counter* m_root_terminations_;
-  Counter* m_aborted_;
 
-  TerminationDetector termination_;
-  ReliableSender reliable_;
-  DupFilter dup_filter_;
+  // Delivery, dedup, termination and deadlines; its monitor serializes
+  // this manager's handlers, timers and answer reads (DESIGN.md §10).
+  // Cross-flow concurrency comes from the update manager running on its
+  // own strand and from the evaluator's worker pool, not from reentering
+  // here.
+  FlowSession session_;
   std::map<std::string, CoordinationRule> compiled_incoming_;
   std::map<FlowId, QueryState> queries_;
   std::set<FlowId> done_flood_seen_;
-  mutable std::map<std::string, PeerId> peer_cache_;
   uint64_t* query_seq_;  // owned by the node
 };
 

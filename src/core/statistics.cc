@@ -168,7 +168,9 @@ std::vector<uint8_t> StatisticsModule::SerializeAll() const {
 Result<StatsBundle> StatisticsModule::DeserializeBundle(
     const std::vector<uint8_t>& payload) {
   WireReader reader(payload);
-  CODB_ASSIGN_OR_RETURN(uint32_t count, reader.ReadU32());
+  // An encoded UpdateReport is 90 bytes of fixed fields plus the counts of
+  // its four collections.
+  CODB_ASSIGN_OR_RETURN(uint32_t count, reader.ReadCount(90 + 4 * 4));
   StatsBundle bundle;
   bundle.reports.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {

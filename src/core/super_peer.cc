@@ -158,7 +158,9 @@ Result<FederationReportPayload> FederationReportPayload::Deserialize(
   FederationReportPayload out;
   CODB_ASSIGN_OR_RETURN(out.super_name, reader.ReadString());
   CODB_ASSIGN_OR_RETURN(out.nodes_reporting, reader.ReadU64());
-  CODB_ASSIGN_OR_RETURN(uint32_t count, reader.ReadU32());
+  // An encoded AggregatedUpdateStats is 81 bytes of fixed fields plus the
+  // count of its per-rule map.
+  CODB_ASSIGN_OR_RETURN(uint32_t count, reader.ReadCount(81 + 4));
   out.aggregates.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
     CODB_ASSIGN_OR_RETURN(AggregatedUpdateStats agg,

@@ -1,9 +1,6 @@
 #include "core/update_manager.h"
 
-#include "core/consistency.h"
-
 #include <algorithm>
-#include <cassert>
 
 #include "obs/trace.h"
 #include "util/logging.h"
@@ -33,16 +30,10 @@ UpdateManager::UpdateManager(NetworkBase* network, PeerId self,
       m_data_out_(stats->metrics().GetCounter("update.data_out")),
       m_link_closed_in_(
           stats->metrics().GetCounter("update.link_closed_in")),
-      m_acks_in_(stats->metrics().GetCounter("update.acks_in")),
       m_completes_in_(stats->metrics().GetCounter("update.completes_in")),
       m_rule_evals_(stats->metrics().GetCounter("update.rule_evals")),
       m_tuples_shipped_(
           stats->metrics().GetCounter("update.tuples_shipped")),
-      m_dups_suppressed_(
-          stats->metrics().GetCounter("update.dups_suppressed")),
-      m_root_terminations_(
-          stats->metrics().GetCounter("update.root_terminations")),
-      m_aborted_(stats->metrics().GetCounter("update.aborted")),
       m_incremental_(stats->metrics().GetCounter("update.incremental")),
       m_delta_rows_(stats->metrics().GetCounter("update.delta_rows")),
       m_eval_rows_(stats->metrics().GetCounter("update.eval_rows")),
@@ -50,32 +41,11 @@ UpdateManager::UpdateManager(NetworkBase* network, PeerId self,
           stats->metrics().GetCounter("update.memory_suppressed")),
       m_handler_us_(stats->metrics().GetHistogram("update.handler_us")),
       m_data_tuples_(stats->metrics().GetHistogram("update.data_tuples")),
-      termination_(self, [this](PeerId to, const FlowId& flow) {
-        Tracer::Global().Instant(self_.value, "term.ack", flow.ToString());
-        AckPayload ack{flow};
-        // The D-S ack is sequenced and retransmitted: losing it would
-        // permanently wedge the receiver's deficit. It is not a basic
-        // message (no deficit of its own). Send failures are handled by
-        // the peer-lost path.
-        reliable_.Send(MakeMessage(self_, to, MessageType::kUpdateAck,
-                                   ack.Serialize()),
-                       flow, /*basic=*/false);
-      }),
-      reliable_(network, options.reliability,
-                [this](const FlowId& flow, PeerId dst, bool basic) {
-                  // Retry budget exhausted: the D-S ack for that basic
-                  // message will never come, so cancel its deficit unit
-                  // or the flow would hang at the root forever. Runs from
-                  // a retransmit timer, i.e. outside HandleMessage — take
-                  // the monitor (the sender releases its own mutex before
-                  // invoking give-up callbacks, so ordering holds).
-                  std::lock_guard<std::recursive_mutex> lock(mu_);
-                  if (basic) termination_.CancelOne(flow, dst);
-                  termination_.MaybeQuiesce();
-                },
-                stats->metrics().GetCounter("update.retransmits"),
-                stats->metrics().GetCounter("update.send_give_ups"),
-                stats->metrics().GetCounter("net.retx.bytes")),
+      session_(network, self, node_name_, wrapper, config, stats,
+               FlowId::Scope::kUpdate, options.reliability,
+               [this](const Message& message, const FlowId& update) {
+                 Deliver(message, update);
+               }),
       update_seq_(update_seq),
       export_memory_(export_memory) {}
 
@@ -110,14 +80,6 @@ Status UpdateManager::Init() {
   return Status::Ok();
 }
 
-Result<PeerId> UpdateManager::ResolvePeer(const std::string& node_name) const {
-  auto it = peer_cache_.find(node_name);
-  if (it != peer_cache_.end()) return it->second;
-  CODB_ASSIGN_OR_RETURN(PeerId id, network_->FindByName(node_name));
-  peer_cache_.emplace(node_name, id);
-  return id;
-}
-
 UpdateManager::UpdateState& UpdateManager::StateOf(const FlowId& update) {
   auto [it, inserted] = updates_.try_emplace(update);
   if (inserted) {
@@ -145,7 +107,7 @@ FlowId UpdateManager::StartIncrementalUpdate(DeltaMap delta,
 FlowId UpdateManager::StartUpdateInternal(bool refresh, bool incremental,
                                           const DeltaMap* delta,
                                           CompletionFn on_complete) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+  std::lock_guard<std::recursive_mutex> lock(session_.monitor());
   FlowId update{FlowId::Scope::kUpdate, self_.value, (*update_seq_)++};
   m_started_->Add();
   if (incremental) {
@@ -156,47 +118,21 @@ FlowId UpdateManager::StartUpdateInternal(bool refresh, bool incremental,
     }
     m_delta_rows_->Add(delta_rows);
   }
-  if (on_complete != nullptr) {
-    completions_[update] = std::move(on_complete);
-  }
   // Root span of the whole diffusing computation: every other span of this
   // flow descends from it via message-hop edges.
   ScopedSpan span(Tracer::Global().BeginSpan(self_.value, "update.start",
                                              update.ToString()));
-  termination_.StartRoot(update, [this](const FlowId& flow) {
-    m_root_terminations_->Add();
+  // Termination and deadline abort both complete the update: completion
+  // still floods so cyclic links close network-wide; an aborted update's
+  // report carries the aborted flag.
+  session_.StartRoot(update, [this, on_complete = std::move(on_complete)](
+                                 const FlowId& flow) {
     Complete(flow, /*via=*/PeerId());
+    if (on_complete != nullptr) on_complete(flow);
   });
-  if (options_.reliability.enabled &&
-      options_.reliability.flow_deadline_us > 0) {
-    // Guarded by the sender's liveness token: if a reconfiguration
-    // rebuilds the manager before the deadline, the timer must not touch
-    // the dead instance.
-    std::weak_ptr<void> alive = reliable_.liveness();
-    network_->ScheduleAfter(
-        options_.reliability.flow_deadline_us, [this, alive, update] {
-          if (alive.expired()) return;
-          AbortIfIncomplete(update);
-        });
-  }
   Join(update, /*via=*/PeerId(), refresh, incremental, delta);
-  termination_.MaybeQuiesce();
+  session_.MaybeQuiesce();
   return update;
-}
-
-void UpdateManager::AbortIfIncomplete(const FlowId& update) {
-  // Entered from the flow-deadline timer, outside HandleMessage.
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  UpdateState& state = StateOf(update);
-  if (state.complete) return;
-  CODB_LOG(kWarning) << node_name_ << ": deadline expired for "
-                     << update.ToString() << "; aborting with partial data";
-  m_aborted_->Add();
-  stats_->ReportFor(update).aborted = true;
-  termination_.Abort(update);
-  // Completion still floods so cyclic links close and per-flow state is
-  // dropped network-wide; the report carries the aborted flag.
-  Complete(update, /*via=*/PeerId());
 }
 
 void UpdateManager::Join(const FlowId& update, PeerId via, bool refresh,
@@ -211,7 +147,7 @@ void UpdateManager::Join(const FlowId& update, PeerId via, bool refresh,
 
   // Local inconsistency does not propagate: an inconsistent node keeps
   // its links running (termination is unaffected) but ships no data.
-  state.exports_suppressed = LocallyInconsistent();
+  state.exports_suppressed = session_.LocallyInconsistent();
   if (state.exports_suppressed) {
     CODB_LOG(kWarning) << node_name_
                        << ": locally inconsistent; exports suppressed for "
@@ -229,10 +165,10 @@ void UpdateManager::Join(const FlowId& update, PeerId via, bool refresh,
   // "These acquaintances ... propagate the global update to their
   // acquaintances" — flood the request, skipping where it came from.
   UpdateRequestPayload request{update, refresh, incremental};
-  for (PeerId neighbor : Acquaintances()) {
+  for (PeerId neighbor : session_.Acquaintances()) {
     if (neighbor == via) continue;
-    SendBasic(update, neighbor, MessageType::kUpdateRequest,
-              request.Serialize());
+    session_.SendBasic(update, neighbor, MessageType::kUpdateRequest,
+                       request.Serialize());
   }
 
   // Initial link evaluations. Full/refresh updates evaluate every
@@ -241,17 +177,18 @@ void UpdateManager::Join(const FlowId& update, PeerId via, bool refresh,
   // every other node contributes nothing until deltas reach it.
   for (auto& [rule_id, link] : state.incoming) {
     if (!incremental) {
-      FireInitial(update, state, rule_id);
+      Fire(update, state, rule_id, /*delta=*/nullptr, {self_.value});
     } else if (delta != nullptr && !delta->empty()) {
-      FireInitialDelta(update, state, rule_id, *delta);
+      Fire(update, state, rule_id, delta, {self_.value});
     }
     link.initial_fired = true;
   }
   CheckClosing(update, state);
 }
 
-void UpdateManager::FireInitial(const FlowId& update, UpdateState& state,
-                                const std::string& rule_id) {
+void UpdateManager::Fire(const FlowId& update, UpdateState& state,
+                         const std::string& rule_id, const DeltaMap* delta,
+                         const std::vector<uint32_t>& path) {
   if (state.exports_suppressed) return;
   if (subsumed_incoming_.find(rule_id) != subsumed_incoming_.end()) return;
   const CoordinationRule& rule = compiled_incoming_.at(rule_id);
@@ -266,48 +203,22 @@ void UpdateManager::FireInitial(const FlowId& update, UpdateState& state,
     // excluding concurrent writers but not other readers.
     ShardedRWLock::ReadAllGuard read_guard(wrapper_->store_lock());
     // Work accounting for the semi-naive comparison (E17): a full eval
-    // reads every body relation end to end.
+    // reads every body relation end to end, a delta eval only the delta.
     size_t input_rows = 0;
-    for (const std::string& relation : rule.BodyRelations()) {
-      const Relation* body = wrapper_->storage().Find(relation);
-      if (body != nullptr) input_rows += body->size();
+    if (delta != nullptr) {
+      frontiers = rule.EvaluateFrontierDelta(wrapper_->storage(), *delta,
+                                             options_.eval, &input_rows);
+    } else {
+      for (const std::string& relation : rule.BodyRelations()) {
+        const Relation* body = wrapper_->storage().Find(relation);
+        if (body != nullptr) input_rows += body->size();
+      }
+      frontiers = rule.EvaluateFrontier(wrapper_->storage(), options_.eval);
     }
     m_eval_rows_->Add(input_rows);
-    frontiers = rule.EvaluateFrontier(wrapper_->storage(), options_.eval);
   }
   span.End();
-  ShipFrontiers(update, state, rule_id, std::move(frontiers),
-                /*path=*/{self_.value});
-}
-
-void UpdateManager::FireInitialDelta(const FlowId& update,
-                                     UpdateState& state,
-                                     const std::string& rule_id,
-                                     const DeltaMap& delta) {
-  if (state.exports_suppressed) return;
-  if (subsumed_incoming_.find(rule_id) != subsumed_incoming_.end()) return;
-  const CoordinationRule& rule = compiled_incoming_.at(rule_id);
-  m_rule_evals_->Add();
-  ScopedSpan span(
-      Tracer::Global().BeginSpanHere("update.rule_eval", update.ToString()));
-  Tracer::Global().AddArg(span.id(), "rule", rule_id);
-  std::vector<Tuple> frontiers;
-  for (const auto& [relation, rows] : delta) {
-    bool referenced =
-        std::find_if(rule.query().body.begin(), rule.query().body.end(),
-                     [&](const Atom& atom) {
-                       return atom.predicate == relation;
-                     }) != rule.query().body.end();
-    if (!referenced || rows.empty()) continue;
-    m_eval_rows_->Add(rows.size());
-    ShardedRWLock::ReadAllGuard read_guard(wrapper_->store_lock());
-    std::vector<Tuple> partial = rule.EvaluateFrontierDelta(
-        wrapper_->storage(), relation, rows, options_.eval);
-    frontiers.insert(frontiers.end(), partial.begin(), partial.end());
-  }
-  span.End();
-  ShipFrontiers(update, state, rule_id, std::move(frontiers),
-                /*path=*/{self_.value});
+  ShipFrontiers(update, state, rule_id, std::move(frontiers), path);
 }
 
 void UpdateManager::ShipFrontiers(const FlowId& update, UpdateState& state,
@@ -355,7 +266,7 @@ void UpdateManager::ShipFrontiers(const FlowId& update, UpdateState& state,
   }
   if (fresh.empty()) return;
 
-  Result<PeerId> importer = ResolvePeer(rule.importer());
+  Result<PeerId> importer = session_.ResolvePeer(rule.importer());
   if (!importer.ok()) {
     // Importer gone; nothing was shipped, so nothing may stay recorded.
     if (use_memory) export_memory_->Forget(rule_id, fresh);
@@ -392,13 +303,10 @@ void UpdateManager::ShipFrontiers(const FlowId& update, UpdateState& state,
 
     std::vector<uint8_t> payload = data.Serialize();
     size_t bytes = payload.size() + Message::kHeaderBytes;
-    Status sent = reliable_.Send(MakeMessage(self_, importer.value(),
-                                             MessageType::kUpdateData,
-                                             std::move(payload)),
-                                 update, /*basic=*/true);
+    Status sent = session_.SendBasic(update, importer.value(),
+                                     MessageType::kUpdateData,
+                                     std::move(payload));
     if (!sent.ok()) {
-      CODB_LOG(kDebug) << node_name_ << ": data ship on " << rule_id
-                       << " failed: " << sent.ToString();
       // Conservative un-record of the whole batch: the frontiers that DID
       // ship get re-derived and re-shipped by a later update, which the
       // importer's set semantics absorbs; a frontier silently recorded as
@@ -406,7 +314,6 @@ void UpdateManager::ShipFrontiers(const FlowId& update, UpdateState& state,
       if (use_memory) export_memory_->Forget(rule_id, fresh);
       return;
     }
-    termination_.OnSent(update, importer.value());
     m_data_out_->Add();
     m_tuples_shipped_->Add(data.tuples.size());
 
@@ -420,60 +327,12 @@ void UpdateManager::ShipFrontiers(const FlowId& update, UpdateState& state,
   report.result_destinations.insert(importer.value().value);
 }
 
-bool UpdateManager::AcceptDelivery(const Message& message) {
-  if (message.seq == 0) return true;  // unsequenced sender
-  Result<FlowId> flow = PeekFlowId(message.payload);
-  if (!flow.ok()) return true;  // let the normal parse path report it
-  // Receipt first, whatever the verdict: the sender may be retransmitting
-  // precisely because the previous receipt was lost, and a parked message
-  // is safely buffered here.
-  DeliveryAckPayload receipt{flow.value(), message.seq};
-  network_->Send(MakeMessage(self_, message.src, MessageType::kDeliveryAck,
-                             receipt.Serialize()));
-  switch (dup_filter_.Check(flow.value(), message.src, message.seq)) {
-    case DupFilter::Verdict::kDeliver:
-      return true;
-    case DupFilter::Verdict::kDuplicate:
-      // Already processed. Crucially this also protects the termination
-      // detector: a duplicated engaging message must not trigger a second
-      // D-S ack while the first engagement is still pending.
-      m_dups_suppressed_->Add();
-      return false;
-    case DupFilter::Verdict::kHold:
-      // A gap precedes it: the retransmission of a dropped message is on
-      // its way. Processing out of order would let e.g. a LinkClosed
-      // overtake the data sent before it, so park until the gap fills.
-      dup_filter_.Hold(flow.value(), message.src, message);
-      return false;
-  }
-  return false;
-}
-
-void UpdateManager::DrainReady(const Message& delivered) {
-  if (delivered.seq == 0) return;
-  Result<FlowId> flow = PeekFlowId(delivered.payload);
-  if (!flow.ok()) return;
-  while (std::optional<Message> ready =
-             dup_filter_.NextReady(flow.value(), delivered.src)) {
-    // Re-enters HandleMessage, where Check() now classifies it as the
-    // in-order delivery it has become.
-    HandleMessage(*ready);
-  }
-}
-
 void UpdateManager::HandleMessage(const Message& message) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+  session_.Receive(message);
+}
+
+void UpdateManager::Deliver(const Message& message, const FlowId& update) {
   Stopwatch wall;
-  if (message.type == MessageType::kDeliveryAck) {
-    Result<DeliveryAckPayload> receipt =
-        DeliveryAckPayload::Deserialize(message.payload);
-    if (receipt.ok()) {
-      reliable_.OnDeliveryAck(receipt.value().flow, message.src,
-                              receipt.value().acked_seq);
-    }
-    return;
-  }
-  if (!AcceptDelivery(message)) return;
   switch (message.type) {
     case MessageType::kUpdateRequest:
       OnRequest(message);
@@ -487,37 +346,20 @@ void UpdateManager::HandleMessage(const Message& message) {
     case MessageType::kUpdateComplete:
       OnComplete(message);
       break;
-    case MessageType::kUpdateAck: {
-      Result<AckPayload> ack = AckPayload::Deserialize(message.payload);
-      if (ack.ok()) {
-        m_acks_in_->Add();
-        ScopedSpan span(Tracer::Global().BeginSpanHere(
-            "update.ack", ack.value().flow.ToString()));
-        termination_.OnAck(ack.value().flow, message.src);
-      }
-      break;
-    }
     default:
       CODB_LOG(kWarning) << node_name_ << ": update manager got unexpected "
                          << MessageTypeName(message.type);
       break;
   }
-  termination_.MaybeQuiesce();
   m_handler_us_->Record(wall.ElapsedMicros());
   // Wall time is attributed to the most recently touched update inside the
   // handlers; approximating with "all active updates" would double-count,
   // so handlers record into the report directly where needed. Here we only
   // account the envelope-level cost for data messages (the dominant cost).
   if (message.type == MessageType::kUpdateData) {
-    Result<UpdateDataPayload> parsed =
-        UpdateDataPayload::Deserialize(message.payload);
-    if (parsed.ok()) {
-      stats_->ReportFor(parsed.value().update).wall_micros +=
-          static_cast<double>(wall.ElapsedMicros());
-    }
+    stats_->ReportFor(update).wall_micros +=
+        static_cast<double>(wall.ElapsedMicros());
   }
-  // This delivery may have filled the gap in front of parked arrivals.
-  DrainReady(message);
 }
 
 void UpdateManager::OnRequest(const Message& message) {
@@ -532,7 +374,7 @@ void UpdateManager::OnRequest(const Message& message) {
   m_requests_in_->Add();
   ScopedSpan span(
       Tracer::Global().BeginSpanHere("update.request", update.ToString()));
-  termination_.OnBasicMessage(update, message.src);
+  session_.OnBasicMessage(update, message.src);
   Join(update, message.src, parsed.value().refresh,
        parsed.value().incremental);
 }
@@ -555,7 +397,7 @@ void UpdateManager::OnData(const Message& message) {
   ScopedSpan span(
       Tracer::Global().BeginSpanHere("update.data", update.ToString()));
   Tracer::Global().AddArg(span.id(), "rule", data.rule_id);
-  termination_.OnBasicMessage(update, message.src);
+  session_.OnBasicMessage(update, message.src);
   // Data can only come from a joined acquaintance, which always floods the
   // request first on the same FIFO pipe — but a pipe created mid-update
   // (dynamic topology) can skip that, so join defensively (the refresh
@@ -626,7 +468,7 @@ void UpdateManager::OnData(const Message& message) {
       continue;
     }
     const CoordinationRule& rule = compiled_incoming_.at(dependent);
-    Result<PeerId> importer = ResolvePeer(rule.importer());
+    Result<PeerId> importer = session_.ResolvePeer(rule.importer());
     if (!importer.ok()) continue;
     // Simple-path constraint: never forward to a node already on the path.
     if (std::find(data.path.begin(), data.path.end(),
@@ -634,27 +476,7 @@ void UpdateManager::OnData(const Message& message) {
       continue;
     }
 
-    m_rule_evals_->Add();
-    ScopedSpan eval_span(Tracer::Global().BeginSpanHere(
-        "update.rule_eval", update.ToString()));
-    Tracer::Global().AddArg(eval_span.id(), "rule", dependent);
-    std::vector<Tuple> frontiers;
-    for (const auto& [relation, rows] : delta) {
-      bool referenced =
-          std::find_if(rule.query().body.begin(), rule.query().body.end(),
-                       [&](const Atom& atom) {
-                         return atom.predicate == relation;
-                       }) != rule.query().body.end();
-      if (!referenced) continue;
-      m_eval_rows_->Add(rows.size());
-      ShardedRWLock::ReadAllGuard read_guard(wrapper_->store_lock());
-      std::vector<Tuple> partial = rule.EvaluateFrontierDelta(
-          wrapper_->storage(), relation, rows, options_.eval);
-      frontiers.insert(frontiers.end(), partial.begin(), partial.end());
-    }
-    eval_span.End();
-    ShipFrontiers(update, state, dependent, std::move(frontiers),
-                  extended_path);
+    Fire(update, state, dependent, &delta, extended_path);
   }
   CheckClosing(update, state);
 }
@@ -672,7 +494,7 @@ void UpdateManager::OnLinkClosed(const Message& message) {
   ScopedSpan span(Tracer::Global().BeginSpanHere("update.link_closed",
                                                  update.ToString()));
   Tracer::Global().AddArg(span.id(), "rule", parsed.value().rule_id);
-  termination_.OnBasicMessage(update, message.src);
+  session_.OnBasicMessage(update, message.src);
   Join(update, message.src, /*refresh=*/false, /*incremental=*/false);
   UpdateState& state = StateOf(update);
   auto it = state.outgoing.find(parsed.value().rule_id);
@@ -690,13 +512,8 @@ bool UpdateManager::OutgoingQuiet(const UpdateState& state,
   const CoordinationRule* rule = config_->FindRule(rule_id);
   if (rule == nullptr) return true;
   // Churn: an unreachable exporter can never deliver again.
-  Result<PeerId> exporter = ResolvePeer(rule->exporter());
-  if (!exporter.ok()) return true;
-  // Membership eviction counts as unreachable even while the pipe object
-  // lingers (silent death never snaps the pipe).
-  return !network_->HasPipe(self_, exporter.value()) ||
-         !network_->IsAlive(exporter.value()) ||
-         (presumed_alive_ != nullptr && !presumed_alive_(exporter.value()));
+  Result<PeerId> exporter = session_.ResolvePeer(rule->exporter());
+  return !exporter.ok() || !session_.Reachable(exporter.value());
 }
 
 void UpdateManager::CheckClosing(const FlowId& update, UpdateState& state) {
@@ -721,11 +538,11 @@ void UpdateManager::CheckClosing(const FlowId& update, UpdateState& state) {
       link.closed = true;
       progressed = true;
       const CoordinationRule& rule = compiled_incoming_.at(rule_id);
-      Result<PeerId> importer = ResolvePeer(rule.importer());
+      Result<PeerId> importer = session_.ResolvePeer(rule.importer());
       if (importer.ok() && network_->HasPipe(self_, importer.value())) {
         LinkClosedPayload closed{update, rule_id};
-        SendBasic(update, importer.value(), MessageType::kLinkClosed,
-                  closed.Serialize());
+        session_.SendBasic(update, importer.value(), MessageType::kLinkClosed,
+                           closed.Serialize());
       }
     }
   }
@@ -762,24 +579,9 @@ void UpdateManager::Complete(const FlowId& update, PeerId via) {
   // Flood completion (not a basic message; the computation is over). The
   // flood is still sequenced + retransmitted: a lost completion would
   // leave cyclic links open forever on the receiving side.
-  UpdateCompletePayload payload{update};
-  for (PeerId neighbor : Acquaintances()) {
-    if (neighbor == via) continue;
-    reliable_.Send(MakeMessage(self_, neighbor, MessageType::kUpdateComplete,
-                               payload.Serialize()),
-                   update, /*basic=*/false);
-  }
+  session_.Flood(update, MessageType::kUpdateComplete,
+                 UpdateCompletePayload{update}.Serialize(), via);
   CODB_LOG(kInfo) << node_name_ << ": " << update.ToString() << " complete";
-
-  // Root-side completion callback, exactly once: the state.complete guard
-  // above makes a second Complete() a no-op, and the callback is erased
-  // before it runs so a re-entrant call cannot find it again.
-  auto callback = completions_.find(update);
-  if (callback != completions_.end()) {
-    CompletionFn fn = std::move(callback->second);
-    completions_.erase(callback);
-    if (fn != nullptr) fn(update);
-  }
 }
 
 void UpdateManager::OnComplete(const Message& message) {
@@ -797,58 +599,21 @@ void UpdateManager::OnComplete(const Message& message) {
 }
 
 void UpdateManager::HandlePipeClosed(PeerId other) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  reliable_.OnPeerLost(other);
-  termination_.OnPeerLost(other);
-  for (auto& [update, state] : updates_) {
-    if (!state.complete) CheckClosing(update, state);
-  }
-  termination_.MaybeQuiesce();
-}
-
-void UpdateManager::SendBasic(const FlowId& update, PeerId dst,
-                              MessageType type,
-                              std::vector<uint8_t> payload) {
-  Status sent = reliable_.Send(
-      MakeMessage(self_, dst, type, std::move(payload)), update,
-      /*basic=*/true);
-  if (sent.ok()) {
-    termination_.OnSent(update, dst);
-  } else {
-    CODB_LOG(kDebug) << node_name_ << ": send " << MessageTypeName(type)
-                     << " to " << dst.ToString()
-                     << " failed: " << sent.ToString();
-  }
-}
-
-std::vector<PeerId> UpdateManager::Acquaintances() const {
-  std::vector<PeerId> out;
-  for (const std::string& name : config_->AcquaintancesOf(node_name_)) {
-    Result<PeerId> peer = ResolvePeer(name);
-    if (peer.ok() && network_->IsAlive(peer.value()) &&
-        network_->HasPipe(self_, peer.value()) &&
-        (presumed_alive_ == nullptr || presumed_alive_(peer.value()))) {
-      out.push_back(peer.value());
+  session_.PeerLost(other, [this] {
+    for (auto& [update, state] : updates_) {
+      if (!state.complete) CheckClosing(update, state);
     }
-  }
-  return out;
-}
-
-bool UpdateManager::LocallyInconsistent() const {
-  const NodeDecl* decl = config_->FindNode(node_name_);
-  if (decl == nullptr || decl->keys.empty()) return false;
-  ShardedRWLock::ReadAllGuard read_guard(wrapper_->store_lock());
-  return !FindKeyViolations(wrapper_->storage(), decl->keys).empty();
+  });
 }
 
 bool UpdateManager::IsJoined(const FlowId& update) const {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+  std::lock_guard<std::recursive_mutex> lock(session_.monitor());
   auto it = updates_.find(update);
   return it != updates_.end() && it->second.joined;
 }
 
 bool UpdateManager::IsClosed(const FlowId& update) const {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+  std::lock_guard<std::recursive_mutex> lock(session_.monitor());
   auto it = updates_.find(update);
   if (it == updates_.end()) return false;
   for (const auto& [rule_id, link] : it->second.outgoing) {
@@ -858,14 +623,14 @@ bool UpdateManager::IsClosed(const FlowId& update) const {
 }
 
 bool UpdateManager::IsComplete(const FlowId& update) const {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+  std::lock_guard<std::recursive_mutex> lock(session_.monitor());
   auto it = updates_.find(update);
   return it != updates_.end() && it->second.complete;
 }
 
 bool UpdateManager::OutgoingLinkClosed(const FlowId& update,
                                        const std::string& rule_id) const {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+  std::lock_guard<std::recursive_mutex> lock(session_.monitor());
   auto it = updates_.find(update);
   if (it == updates_.end()) return false;
   auto link = it->second.outgoing.find(rule_id);
@@ -874,7 +639,7 @@ bool UpdateManager::OutgoingLinkClosed(const FlowId& update,
 
 bool UpdateManager::IncomingLinkClosed(const FlowId& update,
                                        const std::string& rule_id) const {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+  std::lock_guard<std::recursive_mutex> lock(session_.monitor());
   auto it = updates_.find(update);
   if (it == updates_.end()) return false;
   auto link = it->second.incoming.find(rule_id);

@@ -31,8 +31,6 @@
 
 #include <functional>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <set>
 #include <string>
 #include <unordered_set>
@@ -40,11 +38,10 @@
 
 #include "core/config.h"
 #include "core/export_memory.h"
+#include "core/flow_session.h"
 #include "core/link_graph.h"
 #include "core/protocol.h"
-#include "core/reliability.h"
 #include "core/statistics.h"
-#include "core/termination.h"
 #include "net/network_interface.h"
 #include "wrapper/wrapper.h"
 
@@ -133,11 +130,10 @@ class UpdateManager {
   void HandlePipeClosed(PeerId other);
 
   // Liveness predicate supplied by the node's membership layer: peers for
-  // which it returns false (evicted) are excluded from Acquaintances()
-  // and treated as permanently quiet exporters. Null = everyone reachable
-  // is presumed alive (the historical behaviour).
+  // which it returns false (evicted) are not flooded and are treated as
+  // permanently quiet exporters (see FlowSession::SetPresumedAlive).
   void SetPresumedAlive(std::function<bool(PeerId)> predicate) {
-    presumed_alive_ = std::move(predicate);
+    session_.SetPresumedAlive(std::move(predicate));
   }
 
   // -- introspection (reports, tests, benches) ----------------------------
@@ -160,7 +156,7 @@ class UpdateManager {
   // Unacked sequenced messages still held for retransmission. The
   // eviction tests assert this drops to zero the moment a dead peer is
   // evicted, instead of draining through the full retry backoff.
-  uint64_t PendingReliable() const { return reliable_.pending_count(); }
+  uint64_t PendingReliable() const { return session_.PendingReliable(); }
 
  private:
   struct IncomingLinkState {  // we are the exporter: we ship data
@@ -204,15 +200,13 @@ class UpdateManager {
   void OnLinkClosed(const Message& message);
   void OnComplete(const Message& message);
 
-  // Evaluates + ships the initial content of incoming link `rule_id`.
-  void FireInitial(const FlowId& update, UpdateState& state,
-                   const std::string& rule_id);
-
-  // Semi-naive initial firing at the initiator: evaluates `rule_id` with
-  // each delta relation its body references substituted, and ships the
-  // union — work proportional to the delta, not the store.
-  void FireInitialDelta(const FlowId& update, UpdateState& state,
-                        const std::string& rule_id, const DeltaMap& delta);
+  // Evaluates incoming link `rule_id` and ships the result labelled
+  // `path`: over the whole local store, or semi-naively with each `delta`
+  // relation its body references substituted — work proportional to the
+  // delta, not the store.
+  void Fire(const FlowId& update, UpdateState& state,
+            const std::string& rule_id, const DeltaMap* delta,
+            const std::vector<uint32_t>& path);
 
   // Dedups `frontiers` against the sent-set, instantiates heads, ships.
   void ShipFrontiers(const FlowId& update, UpdateState& state,
@@ -232,36 +226,8 @@ class UpdateManager {
   // Marks the update complete locally and floods kUpdateComplete onward.
   void Complete(const FlowId& update, PeerId via);
 
-  // Flow-deadline expiry at the root: reports the update aborted and
-  // completes it with whatever data arrived. No-op if already complete.
-  void AbortIfIncomplete(const FlowId& update);
-
-  // Receipt-acks a sequenced message, filters duplicates and parks
-  // out-of-order arrivals. Returns false when the message must not be
-  // processed now (already seen, or a gap precedes it).
-  bool AcceptDelivery(const Message& message);
-
-  // Processes parked arrivals that `delivered` made next-in-order.
-  void DrainReady(const Message& delivered);
-
-  // Sends a basic protocol message and books the deficit.
-  void SendBasic(const FlowId& update, PeerId dst, MessageType type,
-                 std::vector<uint8_t> payload);
-
-  Result<PeerId> ResolvePeer(const std::string& node_name) const;
-
-  // Alive, pipe-connected rule acquaintances (flood targets).
-  std::vector<PeerId> Acquaintances() const;
-
-  // True when this node's store violates its own key constraints.
-  bool LocallyInconsistent() const;
-
-  // Monitor serializing this manager's handlers and timers (DESIGN.md
-  // §10): with concurrent flow admission, the update flow's strand, the
-  // reliability timers, and introspection calls from other threads all
-  // enter here. Recursive because the single-threaded simulator delivers
-  // nested callbacks (pipe-closed, give-ups) from within a handler.
-  mutable std::recursive_mutex mu_;
+  // The session's protocol dispatch: one in-order, first-time delivery.
+  void Deliver(const Message& message, const FlowId& update);
 
   NetworkBase* network_;
   PeerId self_;
@@ -272,7 +238,6 @@ class UpdateManager {
   StatisticsModule* stats_;
   NullMinter* minter_;
   Options options_;
-  std::function<bool(PeerId)> presumed_alive_;  // null = no membership
 
   // Cached instruments from stats_->metrics(); registered once here so the
   // handler hot paths are plain relaxed-atomic increments.
@@ -281,13 +246,9 @@ class UpdateManager {
   Counter* m_data_in_;
   Counter* m_data_out_;
   Counter* m_link_closed_in_;
-  Counter* m_acks_in_;
   Counter* m_completes_in_;
   Counter* m_rule_evals_;
   Counter* m_tuples_shipped_;
-  Counter* m_dups_suppressed_;
-  Counter* m_root_terminations_;
-  Counter* m_aborted_;
   // Semi-naive instrumentation: incremental updates started here, delta
   // rows they were seeded with, rows fed into rule evaluations (full
   // evals charge the body relations' sizes; delta evals the delta), and
@@ -299,15 +260,12 @@ class UpdateManager {
   Histogram* m_handler_us_;
   Histogram* m_data_tuples_;
 
-  TerminationDetector termination_;
-  ReliableSender reliable_;
-  DupFilter dup_filter_;
+  // Delivery, dedup, termination and deadlines; its monitor serializes
+  // this manager's handlers, timers and introspection (DESIGN.md §10).
+  FlowSession session_;
   std::map<std::string, CoordinationRule> compiled_incoming_;
   std::set<std::string> subsumed_incoming_;  // skip_subsumed option
   std::map<FlowId, UpdateState> updates_;
-  // Root-side completion callbacks, fired exactly once from Complete().
-  std::map<FlowId, CompletionFn> completions_;
-  mutable std::map<std::string, PeerId> peer_cache_;
   uint64_t* update_seq_;        // owned by the node
   ExportMemory* export_memory_;  // owned by the node; may be null
 };

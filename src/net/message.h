@@ -22,7 +22,6 @@ enum class MessageType : uint16_t {
 
   // coDB protocol (core layer). Declared here so the envelope is complete;
   // payload formats live in core/protocol.h.
-  kConfigBroadcast = 10,
   kUpdateRequest = 11,
   kUpdateData = 12,
   kLinkClosed = 13,
@@ -103,8 +102,6 @@ inline const char* MessageTypeName(MessageType type) {
   switch (type) {
     case MessageType::kAdvertisement:
       return "ADVERTISEMENT";
-    case MessageType::kConfigBroadcast:
-      return "CONFIG_BROADCAST";
     case MessageType::kUpdateRequest:
       return "UPDATE_REQUEST";
     case MessageType::kUpdateData:

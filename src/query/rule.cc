@@ -97,6 +97,26 @@ std::vector<Tuple> CoordinationRule::EvaluateFrontierDelta(
                                        options);
 }
 
+std::vector<Tuple> CoordinationRule::EvaluateFrontierDelta(
+    const Database& exporter_db,
+    const std::map<std::string, std::vector<Tuple>>& deltas,
+    const EvalOptions& options, size_t* rows_read) const {
+  std::vector<Tuple> frontiers;
+  for (const auto& [relation, rows] : deltas) {
+    bool referenced =
+        std::find_if(query_.body.begin(), query_.body.end(),
+                     [&](const Atom& atom) {
+                       return atom.predicate == relation;
+                     }) != query_.body.end();
+    if (!referenced || rows.empty()) continue;
+    if (rows_read != nullptr) *rows_read += rows.size();
+    std::vector<Tuple> partial =
+        EvaluateFrontierDelta(exporter_db, relation, rows, options);
+    frontiers.insert(frontiers.end(), partial.begin(), partial.end());
+  }
+  return frontiers;
+}
+
 std::vector<HeadTuple> CoordinationRule::InstantiateHead(
     const Tuple& frontier, NullMinter& minter) const {
   std::vector<HeadTuple> out;

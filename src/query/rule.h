@@ -22,6 +22,7 @@
 #define CODB_QUERY_RULE_H_
 
 #include <atomic>
+#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -112,6 +113,16 @@ class CoordinationRule {
                                            const std::string& delta_relation,
                                            const std::vector<Tuple>& delta,
                                            const EvalOptions& options) const;
+
+  // Semi-naive firing over a batch of deltas: the concatenation, in
+  // `deltas` order, of EvaluateFrontierDelta over every non-empty delta
+  // relation the body reads. `rows_read`, if set, accumulates the delta
+  // rows those evaluations consumed.
+  std::vector<Tuple> EvaluateFrontierDelta(
+      const Database& exporter_db,
+      const std::map<std::string, std::vector<Tuple>>& deltas,
+      const EvalOptions& options = EvalOptions(),
+      size_t* rows_read = nullptr) const;
 
   // Head tuples for one frontier binding; mints one fresh null per
   // existential variable, shared across this firing's head atoms.

@@ -117,6 +117,16 @@ Result<double> WireReader::ReadDouble() {
   return d;
 }
 
+Result<uint32_t> WireReader::ReadCount(size_t min_element_bytes) {
+  CODB_ASSIGN_OR_RETURN(uint32_t count, ReadU32());
+  if (static_cast<uint64_t>(count) * min_element_bytes > remaining()) {
+    return Status::ParseError("wire: count " + std::to_string(count) +
+                              " exceeds the " + std::to_string(remaining()) +
+                              " bytes left");
+  }
+  return count;
+}
+
 Result<std::string> WireReader::ReadString() {
   CODB_RETURN_IF_ERROR(Need(4));
   uint32_t length = TakeU32();
@@ -185,7 +195,7 @@ Result<Tuple> WireReader::ReadTuple() {
 }
 
 Result<std::vector<Tuple>> WireReader::ReadTuples() {
-  CODB_ASSIGN_OR_RETURN(uint32_t count, ReadU32());
+  CODB_ASSIGN_OR_RETURN(uint32_t count, ReadCount(2));  // u16 arity
   std::vector<Tuple> tuples;
   tuples.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
@@ -196,7 +206,7 @@ Result<std::vector<Tuple>> WireReader::ReadTuples() {
 }
 
 Result<std::vector<std::string>> WireReader::ReadStringList() {
-  CODB_ASSIGN_OR_RETURN(uint32_t count, ReadU32());
+  CODB_ASSIGN_OR_RETURN(uint32_t count, ReadCount(4));  // u32 length
   std::vector<std::string> strings;
   strings.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
@@ -207,7 +217,7 @@ Result<std::vector<std::string>> WireReader::ReadStringList() {
 }
 
 Result<std::vector<uint32_t>> WireReader::ReadU32List() {
-  CODB_ASSIGN_OR_RETURN(uint32_t count, ReadU32());
+  CODB_ASSIGN_OR_RETURN(uint32_t count, ReadCount(4));
   std::vector<uint32_t> values;
   values.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {

@@ -58,6 +58,12 @@ class WireReader {
   Result<std::vector<std::string>> ReadStringList();
   Result<std::vector<uint32_t>> ReadU32List();
 
+  // Reads a u32 element count and rejects it with kParseError when the
+  // remaining bytes cannot hold that many elements of at least
+  // `min_element_bytes` each. Decoders size their reserve() by the result,
+  // so a forged count cannot allocate more than the input justifies.
+  Result<uint32_t> ReadCount(size_t min_element_bytes);
+
   bool AtEnd() const { return pos_ == size_; }
   size_t remaining() const { return size_ - pos_; }
 

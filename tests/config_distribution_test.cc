@@ -135,9 +135,9 @@ TEST(ConfigDistributionTest, SliceConfiguredNetworkMatchesFullConfig) {
     ASSERT_TRUE(testbed.ok()) << testbed.status().ToString();
     Testbed& bed = *testbed.value();
 
-    // The legacy full-file broadcast is gone from the wire.
+    // Nothing travels under tag 10, the retired full-file broadcast.
     EXPECT_EQ(bed.network().stats().MessagesOfType(
-                  MessageType::kConfigBroadcast),
+                  static_cast<MessageType>(10)),
               0u);
     EXPECT_GT(bed.network().stats().MessagesOfType(MessageType::kConfigSlice),
               0u);

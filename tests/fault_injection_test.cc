@@ -413,7 +413,15 @@ TEST(FaultTortureTest, QueryConvergesUnderFaults) {
   EXPECT_EQ(CounterAt(*bed.value(), "n0", "query.root_terminations"), 1u);
 }
 
-TEST(FaultTortureTest, PartitionTriggersDeadlineAbort) {
+// Both flow kinds share one deadline path, so the abort must look the
+// same from either: one finish callback, counted as an abort and not as a
+// termination.
+class FaultTortureDeadlineTest
+    : public ::testing::TestWithParam<FlowId::Scope> {};
+
+TEST_P(FaultTortureDeadlineTest, PartitionTriggersDeadlineAbort) {
+  const bool is_update = GetParam() == FlowId::Scope::kUpdate;
+  const std::string scope = is_update ? "update" : "query";
   WorkloadOptions workload;
   workload.nodes = 3;
   workload.tuples_per_node = 2;
@@ -433,22 +441,44 @@ TEST(FaultTortureTest, PartitionTriggersDeadlineAbort) {
   ASSERT_TRUE(
       bed.value()->SetFault("n1", "n2", FaultProfile::Partition()).ok());
 
-  Result<FlowId> update = bed.value()->RunGlobalUpdate("n0");
-  ASSERT_TRUE(update.ok()) << update.status().ToString();
-  EXPECT_TRUE(bed.value()->AllComplete(update.value()));
+  Node* root = bed.value()->node("n0");
+  int finishes = 0;
+  Result<FlowId> flow =
+      is_update
+          ? root->StartGlobalUpdate([&](const FlowId&) { ++finishes; })
+          : root->StartQuery(ParseQuery("q(K, V) :- d(K, V).").value(),
+                             [&](const QueryManager::QueryProgress& p) {
+                               if (p.done) ++finishes;
+                             });
+  ASSERT_TRUE(flow.ok()) << flow.status().ToString();
+  bed.value()->network().Run();
+  EXPECT_EQ(finishes, 1);
 
-  // Partial coverage: the root imported n1's data but never n2's.
-  EXPECT_EQ(bed.value()->node("n0")->database().Find("d")->size(), 4u);
+  // Partial coverage: the root got n1's data but never n2's.
+  if (is_update) {
+    EXPECT_TRUE(bed.value()->AllComplete(flow.value()));
+    EXPECT_EQ(root->database().Find("d")->size(), 4u);
+  } else {
+    ASSERT_TRUE(root->QueryDone(flow.value()));
+    EXPECT_EQ(root->QueryAnswers(flow.value()).value().size(), 4u);
+  }
 
   // The abort is visible in the report and the metrics, and the normal
   // termination callback did NOT also fire (exactly-once).
-  const UpdateReport* report =
-      bed.value()->node("n0")->statistics().FindReport(update.value());
+  const UpdateReport* report = root->statistics().FindReport(flow.value());
   ASSERT_NE(report, nullptr);
   EXPECT_TRUE(report->aborted);
-  EXPECT_EQ(CounterAt(*bed.value(), "n0", "update.aborted"), 1u);
-  EXPECT_EQ(CounterAt(*bed.value(), "n0", "update.root_terminations"), 0u);
+  EXPECT_EQ(CounterAt(*bed.value(), "n0", scope + ".aborted"), 1u);
+  EXPECT_EQ(CounterAt(*bed.value(), "n0", scope + ".root_terminations"), 0u);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    FlowKinds, FaultTortureDeadlineTest,
+    ::testing::Values(FlowId::Scope::kUpdate, FlowId::Scope::kQuery),
+    [](const ::testing::TestParamInfo<FlowId::Scope>& info) {
+      return std::string(info.param == FlowId::Scope::kUpdate ? "update"
+                                                              : "query");
+    });
 
 // Churn torture: a lossy, duplicating, reordering network AND silent
 // node deaths, with the membership layer running. The detector must walk

@@ -14,6 +14,7 @@
 #include "membership/membership.h"
 #include "membership/rtt.h"
 #include "net/network.h"
+#include "query/parser.h"
 #include "workload/testbed.h"
 #include "workload/topology_gen.h"
 
@@ -438,10 +439,13 @@ TEST(MembershipNodeTest, EvictionCancelsRetransmissionsAndUnblocksUpdate) {
   PeerId dead = bed.node("n2")->id();
   ASSERT_TRUE(bed.SilentKillNode("n2").ok());
 
-  // Start an update immediately: n1 has in-flight traffic toward n2 that
-  // will never be acked.
+  // Start an update and a query immediately: n1 has in-flight traffic
+  // toward n2, in both managers, that will never be acked.
   Result<FlowId> update = bed.node("n0")->StartGlobalUpdate();
   ASSERT_TRUE(update.ok());
+  Result<FlowId> query = bed.node("n0")->StartQuery(
+      ParseQuery("q(K, V) :- d(K, V).").value());
+  ASSERT_TRUE(query.ok()) << query.status().ToString();
   // RunFor, never Run(): a bare Run() would drain the foreground queue
   // through the 30s retransmission timers, fast-forwarding virtual time
   // past the give-up window and defeating the point of the test. RunFor
@@ -454,7 +458,9 @@ TEST(MembershipNodeTest, EvictionCancelsRetransmissionsAndUnblocksUpdate) {
   // (no waiting out the 30s retransmission timer) and cancelled the
   // matching termination deficits, so the update completed.
   EXPECT_EQ(bed.node("n1")->update_manager()->PendingReliable(), 0u);
+  EXPECT_EQ(bed.node("n1")->query_manager()->PendingReliable(), 0u);
   EXPECT_TRUE(bed.AllComplete(update.value()));
+  EXPECT_TRUE(bed.node("n0")->QueryDone(query.value()));
   EXPECT_GE(bed.node("n1")->membership()->counters().evictions, 1u);
 }
 

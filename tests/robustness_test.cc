@@ -32,8 +32,10 @@ TEST(RobustnessTest, MalformedPayloadsAreIgnored) {
   PeerId raw = bed.network().Join("fuzzer", &sender);
   ASSERT_TRUE(bed.network().OpenPipe(raw, bed.node("n0")->id()).ok());
 
+  // Tag 10 was the retired full-config broadcast: an unknown tag from the
+  // wire must be dropped like any other junk.
   const MessageType kinds[] = {
-      MessageType::kAdvertisement,  MessageType::kConfigBroadcast,
+      MessageType::kAdvertisement,  static_cast<MessageType>(10),
       MessageType::kUpdateRequest,  MessageType::kUpdateData,
       MessageType::kLinkClosed,     MessageType::kUpdateAck,
       MessageType::kUpdateComplete, MessageType::kQueryRequest,

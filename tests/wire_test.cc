@@ -4,6 +4,10 @@
 #include <gtest/gtest.h>
 
 #include "core/protocol.h"
+#include "core/statistics.h"
+#include "core/super_peer.h"
+#include "membership/heartbeat.h"
+#include "relation/wal.h"
 #include "relation/wire.h"
 
 namespace codb {
@@ -109,6 +113,55 @@ TEST(WireTest, CorruptValueTagRejected) {
   EXPECT_EQ(v.status().code(), StatusCode::kParseError);
 }
 
+// `prefix` followed by a 5-byte tail whose element count claims 2^31
+// entries: a decoder that trusted the count would reserve gigabytes.
+std::vector<uint8_t> ForgedCount(std::vector<uint8_t> prefix = {}) {
+  WireWriter writer;
+  writer.WriteU32(1u << 31);
+  writer.WriteU8(0);
+  std::vector<uint8_t> tail = writer.Take();
+  prefix.insert(prefix.end(), tail.begin(), tail.end());
+  return prefix;
+}
+
+TEST(WireTest, ForgedElementCountsAreRejected) {
+  const std::vector<uint8_t> bytes = ForgedCount();
+  ASSERT_EQ(bytes.size(), 5u);
+  {
+    WireReader reader(bytes);
+    EXPECT_EQ(reader.ReadTuples().status().code(), StatusCode::kParseError);
+  }
+  {
+    WireReader reader(bytes);
+    EXPECT_EQ(reader.ReadStringList().status().code(),
+              StatusCode::kParseError);
+  }
+  {
+    WireReader reader(bytes);
+    EXPECT_EQ(reader.ReadU32List().status().code(), StatusCode::kParseError);
+  }
+  {
+    WireReader reader(bytes);
+    EXPECT_EQ(ReadHeadTuples(reader).status().code(),
+              StatusCode::kParseError);
+  }
+  EXPECT_FALSE(StatisticsModule::DeserializeBundle(bytes).ok());
+  EXPECT_FALSE(WriteAheadLog::Deserialize(bytes).ok());
+
+  // Decoders whose count follows fixed fields get those fields first.
+  WireWriter beacon;
+  beacon.WriteU64(1);  // incarnation
+  beacon.WriteU64(2);  // seq
+  beacon.WriteI64(3);  // send time
+  EXPECT_FALSE(HeartbeatPayload::Deserialize(ForgedCount(beacon.Take())).ok());
+  WireWriter federation;
+  federation.WriteString("sp0");
+  federation.WriteU64(4);  // nodes reporting
+  EXPECT_FALSE(
+      FederationReportPayload::Deserialize(ForgedCount(federation.Take()))
+          .ok());
+}
+
 TEST(ProtocolTest, UpdateDataPayloadRoundTrip) {
   UpdateDataPayload payload;
   payload.update = {FlowId::Scope::kUpdate, 4, 17};
@@ -172,13 +225,6 @@ TEST(ProtocolTest, AllSmallPayloadsRoundTrip) {
       QueryRequestPayload::Deserialize(request.Serialize());
   ASSERT_TRUE(request_back.ok());
   EXPECT_EQ(request_back.value().label, (std::vector<uint32_t>{7, 8}));
-
-  ConfigBroadcastPayload config{12, "node n0\n"};
-  Result<ConfigBroadcastPayload> config_back =
-      ConfigBroadcastPayload::Deserialize(config.Serialize());
-  ASSERT_TRUE(config_back.ok());
-  EXPECT_EQ(config_back.value().version, 12u);
-  EXPECT_EQ(config_back.value().config_text, "node n0\n");
 }
 
 TEST(ProtocolTest, FlowIdOrderingAndNames) {
