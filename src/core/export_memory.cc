@@ -48,11 +48,4 @@ void ExportMemory::Reset() {
   for (auto& [rule_id, memory] : rules_) memory.sent.clear();
 }
 
-size_t ExportMemory::TotalFrontiers() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  size_t total = 0;
-  for (const auto& [rule_id, memory] : rules_) total += memory.sent.size();
-  return total;
-}
-
 }  // namespace codb

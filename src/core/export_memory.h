@@ -54,9 +54,6 @@ class ExportMemory {
   // Drops everything (refresh updates: every export is restated).
   void Reset();
 
-  // Total recorded frontiers across all rules (tests, reports).
-  size_t TotalFrontiers() const;
-
  private:
   struct RuleMemory {
     std::string fingerprint;

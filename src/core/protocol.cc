@@ -1,5 +1,9 @@
 #include "core/protocol.h"
 
+#include <algorithm>
+#include <string_view>
+#include <utility>
+
 #include "relation/wire.h"
 #include "util/string_util.h"
 
@@ -35,25 +39,98 @@ std::string FlowId::ToString() const {
 
 void WriteHeadTuples(WireWriter& writer,
                      const std::vector<HeadTuple>& tuples) {
-  writer.WriteU32(static_cast<uint32_t>(tuples.size()));
-  for (const HeadTuple& ht : tuples) {
-    writer.WriteString(ht.relation);
-    writer.WriteTuple(ht.tuple);
+  // A run stops where the relation or the arity changes. The payload
+  // starts with the run count, so the runs are found before any is written.
+  struct Run {
+    size_t first_row;
+    uint64_t rows;
+  };
+  std::vector<Run> runs;
+  for (size_t i = 0; i < tuples.size(); ++i) {
+    if (i == 0 || tuples[i].relation != tuples[i - 1].relation ||
+        tuples[i].tuple.arity() != tuples[i - 1].tuple.arity()) {
+      runs.push_back({i, 0});
+    }
+    ++runs.back().rows;
+  }
+  writer.WriteVarU64(runs.size());
+  for (const Run& run : runs) {
+    const HeadTuple& first = tuples[run.first_row];
+    writer.WriteVarString(first.relation);
+    writer.WriteVarU64(static_cast<uint64_t>(first.tuple.arity()));
+    writer.WriteVarU64(run.rows);
+    for (size_t i = run.first_row; i < run.first_row + run.rows; ++i) {
+      for (const Value& v : tuples[i].tuple) writer.WriteVarValue(v);
+    }
   }
 }
 
 Result<std::vector<HeadTuple>> ReadHeadTuples(WireReader& reader) {
-  // Each entry holds at least a relation-name length and a tuple arity.
-  CODB_ASSIGN_OR_RETURN(uint32_t count, reader.ReadCount(4 + 2));
+  // A run header is at least a name length, an arity and a row count.
+  CODB_ASSIGN_OR_RETURN(uint32_t runs, reader.ReadVarCount(3));
   std::vector<HeadTuple> tuples;
-  tuples.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    HeadTuple ht;
-    CODB_ASSIGN_OR_RETURN(ht.relation, reader.ReadString());
-    CODB_ASSIGN_OR_RETURN(ht.tuple, reader.ReadTuple());
-    tuples.push_back(std::move(ht));
+  std::vector<Value> values;
+  for (uint32_t r = 0; r < runs; ++r) {
+    CODB_ASSIGN_OR_RETURN(std::string_view name, reader.ReadVarBytes());
+    // Every row decodes to a copy of the name, which is sent once per run:
+    // only a bounded name keeps the decoded size linear in the input.
+    if (name.size() > RelationSchema::kMaxNameBytes) {
+      return Status::ParseError("head tuples: relation name of " +
+                                std::to_string(name.size()) + " bytes");
+    }
+    CODB_ASSIGN_OR_RETURN(uint64_t arity, reader.ReadVarU64());
+    // Relations have at least one attribute; an arity-0 run would be rows
+    // that cost no bytes, so its count could not be capped by the input.
+    if (arity == 0 || arity > UINT16_MAX) {
+      return Status::ParseError("head tuples: arity " +
+                                std::to_string(arity) + " out of range");
+    }
+    // Each value is at least a tag and a one-byte body.
+    CODB_ASSIGN_OR_RETURN(uint32_t rows, reader.ReadVarCount(2 * arity));
+    if (tuples.capacity() - tuples.size() < rows) {
+      tuples.reserve(std::max(tuples.size() + rows, 2 * tuples.capacity()));
+    }
+    const std::string relation(name);
+    values.resize(arity);
+    for (uint32_t row = 0; row < rows; ++row) {
+      for (Value& v : values) {
+        CODB_ASSIGN_OR_RETURN(v, reader.ReadVarValue());
+      }
+      tuples.push_back({relation, Tuple(values.data(), values.size())});
+    }
   }
   return tuples;
+}
+
+void GroupRunsByRelation(std::vector<HeadTuple>& rows) {
+  // Relations in the order of their first row, each with its row count;
+  // a batch comes from one rule head, so a linear search is enough.
+  std::vector<std::pair<const std::string*, size_t>> groups;
+  std::vector<uint32_t> group_of(rows.size());
+  size_t runs = 0;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    if (i > 0 && rows[i].relation == rows[i - 1].relation) {
+      group_of[i] = group_of[i - 1];
+    } else {
+      ++runs;
+      size_t g = 0;
+      while (g < groups.size() && *groups[g].first != rows[i].relation) ++g;
+      if (g == groups.size()) groups.push_back({&rows[i].relation, 0});
+      group_of[i] = static_cast<uint32_t>(g);
+    }
+    ++groups[group_of[i]].second;
+  }
+  if (runs == groups.size()) return;  // already one run per relation
+
+  std::vector<size_t> next(groups.size(), 0);
+  for (size_t g = 1; g < groups.size(); ++g) {
+    next[g] = next[g - 1] + groups[g - 1].second;
+  }
+  std::vector<HeadTuple> grouped(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    grouped[next[group_of[i]]++] = std::move(rows[i]);
+  }
+  rows.swap(grouped);
 }
 
 Result<FlowId> PeekFlowId(const std::vector<uint8_t>& payload) {

@@ -152,9 +152,22 @@ struct StatsRequestPayload {
 
 // -- helpers -----------------------------------------------------------------
 
-// Serialization of HeadTuple batches shared by data/result payloads.
+// Serialization of HeadTuple batches shared by data/result payloads
+// (DESIGN.md §2.6, "Head-tuple runs"): a varint run count, then per
+// maximal run of consecutive rows with one relation and arity the name,
+// the arity and the row count (varints), then the run's values in
+// WireWriter::WriteVarValue's compact form. Rows decode in exactly their
+// input order.
 void WriteHeadTuples(WireWriter& writer, const std::vector<HeadTuple>& tuples);
 Result<std::vector<HeadTuple>> ReadHeadTuples(WireReader& reader);
+
+// Stable O(n) regroup so each relation's rows are consecutive, relations
+// in the order of their first row. InstantiateHeadInto interleaves a
+// multi-atom head (d,e,d,e,...); senders regroup each batch so it encodes
+// as one run per relation. Rows keep their relative order within a
+// relation, so the k-th d row and the k-th e row still come from the same
+// firing and share its nulls.
+void GroupRunsByRelation(std::vector<HeadTuple>& rows);
 
 // Builds a Message envelope.
 Message MakeMessage(PeerId src, PeerId dst, MessageType type,

@@ -247,6 +247,7 @@ void QueryManager::Serve(
   for (const Tuple& frontier : fresh) {
     rule.InstantiateHeadInto(frontier, *minter_, result.tuples);
   }
+  GroupRunsByRelation(result.tuples);
   size_t tuple_count = result.tuples.size();
   std::vector<uint8_t> payload = result.Serialize();
   size_t bytes = payload.size() + Message::kHeaderBytes;

@@ -300,6 +300,7 @@ void UpdateManager::ShipFrontiers(const FlowId& update, UpdateState& state,
       data.tuples.assign(tuples.begin() + static_cast<long>(begin),
                          tuples.begin() + static_cast<long>(end));
     }
+    GroupRunsByRelation(data.tuples);
 
     std::vector<uint8_t> payload = data.Serialize();
     size_t bytes = payload.size() + Message::kHeaderBytes;

@@ -27,7 +27,6 @@ struct LinkProfile {
   FaultProfile fault;
 
   static LinkProfile Lan() { return {/*latency*/ 200, /*bw*/ 100.0, {}}; }
-  static LinkProfile Wan() { return {/*latency*/ 20000, /*bw*/ 1.0, {}}; }
 };
 
 // One direction of a pipe between two peers.

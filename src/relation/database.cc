@@ -4,6 +4,11 @@ namespace codb {
 
 Status Database::CreateRelation(RelationSchema schema) {
   std::string name = schema.name();  // copy: `schema` is moved below
+  if (name.size() > RelationSchema::kMaxNameBytes) {
+    return Status::InvalidArgument(
+        "relation name longer than " +
+        std::to_string(RelationSchema::kMaxNameBytes) + " bytes");
+  }
   if (relations_.find(name) != relations_.end()) {
     return Status::AlreadyExists("relation '" + name + "' already exists");
   }

@@ -8,6 +8,7 @@
 #ifndef CODB_RELATION_SCHEMA_H_
 #define CODB_RELATION_SCHEMA_H_
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -28,6 +29,11 @@ struct Attribute {
 // Schema of one relation: a name plus an ordered attribute list.
 class RelationSchema {
  public:
+  // Relation names are identifiers. The bound keeps a decoded data payload
+  // linear in its size: a head-tuple run sends its name once, and each of
+  // its rows decodes to a copy of it (core/protocol.h).
+  static constexpr size_t kMaxNameBytes = 64;
+
   RelationSchema() = default;
   RelationSchema(std::string name, std::vector<Attribute> attributes)
       : name_(std::move(name)), attributes_(std::move(attributes)) {}

@@ -79,6 +79,41 @@ void WireWriter::WriteU32List(const std::vector<uint32_t>& values) {
   for (uint32_t v : values) WriteU32(v);
 }
 
+void WireWriter::WriteVarU64(uint64_t v) {
+  while (v >= 0x80) {
+    buffer_.push_back(static_cast<uint8_t>(v | 0x80));
+    v >>= 7;
+  }
+  buffer_.push_back(static_cast<uint8_t>(v));
+}
+
+void WireWriter::WriteVarString(std::string_view s) {
+  WriteVarU64(s.size());
+  buffer_.insert(buffer_.end(), s.begin(), s.end());
+}
+
+void WireWriter::WriteVarValue(const Value& v) {
+  WriteU8(static_cast<uint8_t>(v.type()));
+  switch (v.type()) {
+    case ValueType::kInt: {
+      const int64_t i = v.AsInt();
+      WriteVarU64((static_cast<uint64_t>(i) << 1) ^
+                  static_cast<uint64_t>(i >> 63));  // zigzag
+      break;
+    }
+    case ValueType::kDouble:
+      WriteDouble(v.AsDouble());
+      break;
+    case ValueType::kString:
+      WriteVarString(v.AsString());
+      break;
+    case ValueType::kNull:
+      WriteVarU64(v.AsNull().peer);
+      WriteVarU64(v.AsNull().counter);
+      break;
+  }
+}
+
 Status WireReader::Truncated(size_t n) const {
   return Status::ParseError("wire: truncated input (need " +
                             std::to_string(n) + " bytes, have " +
@@ -117,14 +152,83 @@ Result<double> WireReader::ReadDouble() {
   return d;
 }
 
-Result<uint32_t> WireReader::ReadCount(size_t min_element_bytes) {
-  CODB_ASSIGN_OR_RETURN(uint32_t count, ReadU32());
-  if (static_cast<uint64_t>(count) * min_element_bytes > remaining()) {
+Result<uint32_t> WireReader::CapCount(uint64_t count,
+                                      size_t min_element_bytes) const {
+  // Callers pass element sizes far below 2^32, so the product cannot wrap
+  // once the count is known to fit 32 bits.
+  if (count > UINT32_MAX || count * min_element_bytes > remaining()) {
     return Status::ParseError("wire: count " + std::to_string(count) +
                               " exceeds the " + std::to_string(remaining()) +
                               " bytes left");
   }
-  return count;
+  return static_cast<uint32_t>(count);
+}
+
+Result<uint32_t> WireReader::ReadCount(size_t min_element_bytes) {
+  CODB_ASSIGN_OR_RETURN(uint32_t count, ReadU32());
+  return CapCount(count, min_element_bytes);
+}
+
+Result<uint32_t> WireReader::ReadVarCount(size_t min_element_bytes) {
+  CODB_ASSIGN_OR_RETURN(uint64_t count, ReadVarU64());
+  return CapCount(count, min_element_bytes);
+}
+
+Status WireReader::VarintError(const char* reason) {
+  return Status::ParseError(std::string("wire: ") + reason);
+}
+
+Result<uint64_t> WireReader::ReadVarU64() {
+  uint64_t v;
+  if (const char* error = TakeVarU64(v)) return VarintError(error);
+  return v;
+}
+
+Result<std::string_view> WireReader::ReadVarBytes() {
+  CODB_ASSIGN_OR_RETURN(uint64_t length, ReadVarU64());
+  CODB_RETURN_IF_ERROR(Need(length));
+  std::string_view view(reinterpret_cast<const char*>(data_ + pos_), length);
+  pos_ += length;
+  return view;
+}
+
+Result<Value> WireReader::ReadVarValue() {
+  // Like ReadValue, one Result per value: the varint bodies decode through
+  // TakeVarU64, which reports errors without building a Status.
+  CODB_RETURN_IF_ERROR(Need(1));
+  uint8_t tag = TakeU8();
+  const char* error = nullptr;
+  switch (static_cast<ValueType>(tag)) {
+    case ValueType::kInt: {
+      uint64_t z;
+      if ((error = TakeVarU64(z)) != nullptr) break;
+      return Value::Int(static_cast<int64_t>((z >> 1) ^ (0 - (z & 1))));
+    }
+    case ValueType::kDouble: {
+      CODB_RETURN_IF_ERROR(Need(8));
+      uint64_t bits = TakeU64();
+      double d;
+      std::memcpy(&d, &bits, sizeof(d));
+      return Value::Double(d);
+    }
+    case ValueType::kString: {
+      CODB_ASSIGN_OR_RETURN(std::string_view s, ReadVarBytes());
+      return Value::String(s);
+    }
+    case ValueType::kNull: {
+      uint64_t peer, counter;
+      if ((error = TakeVarU64(peer)) != nullptr) break;
+      if (peer > UINT32_MAX) {
+        return Status::ParseError("wire: null peer out of range");
+      }
+      if ((error = TakeVarU64(counter)) != nullptr) break;
+      return Value::Null(static_cast<uint32_t>(peer), counter);
+    }
+    default:
+      return Status::ParseError("wire: unknown value tag " +
+                                std::to_string(tag));
+  }
+  return VarintError(error);
 }
 
 Result<std::string> WireReader::ReadString() {

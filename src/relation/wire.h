@@ -1,15 +1,21 @@
 // Binary serialization for message payloads.
 //
-// Little-endian fixed-width integers, length-prefixed strings, and typed
-// values/tuples. Reads are bounds-checked and report kParseError instead of
-// crashing on truncated or corrupt input, so a malformed message cannot
-// take a peer down.
+// Little-endian fixed-width integers, LEB128 varints, length-prefixed
+// strings, and typed values/tuples. Reads are bounds-checked and report
+// kParseError instead of crashing on truncated or corrupt input, so a
+// malformed message cannot take a peer down.
+//
+// WriteValue/WriteTuple are the fixed-width encoding of the WAL,
+// checkpoints and control payloads. WriteVarValue is the compact value
+// encoding of the head-tuple runs that carry data payload rows
+// (core/protocol.h).
 
 #ifndef CODB_RELATION_WIRE_H_
 #define CODB_RELATION_WIRE_H_
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "relation/tuple.h"
@@ -32,6 +38,14 @@ class WireWriter {
   void WriteTuples(const std::vector<Tuple>& tuples);
   void WriteStringList(const std::vector<std::string>& strings);
   void WriteU32List(const std::vector<uint32_t>& values);
+  // Unsigned LEB128: 7 bits per byte, low group first, 1-10 bytes.
+  void WriteVarU64(uint64_t v);
+  // Varint length, then the bytes.
+  void WriteVarString(std::string_view s);
+  // The ValueType tag, then a compact body: ints as zigzag varints,
+  // strings as WriteVarString, nulls as varint peer + varint counter,
+  // doubles as 8 raw little-endian bytes.
+  void WriteVarValue(const Value& v);
 
   std::vector<uint8_t> Take() { return std::move(buffer_); }
   size_t size() const { return buffer_.size(); }
@@ -63,6 +77,16 @@ class WireReader {
   // `min_element_bytes` each. Decoders size their reserve() by the result,
   // so a forged count cannot allocate more than the input justifies.
   Result<uint32_t> ReadCount(size_t min_element_bytes);
+  // The same cap for a varint count.
+  Result<uint32_t> ReadVarCount(size_t min_element_bytes);
+
+  // Rejects varints longer than 10 bytes and ones that overflow 64 bits.
+  Result<uint64_t> ReadVarU64();
+  // A varint length, then that many bytes, viewed in place: valid while
+  // the buffer the reader was built over lives.
+  Result<std::string_view> ReadVarBytes();
+  // The inverse of WireWriter::WriteVarValue.
+  Result<Value> ReadVarValue();
 
   bool AtEnd() const { return pos_ == size_; }
   size_t remaining() const { return size_ - pos_; }
@@ -75,6 +99,28 @@ class WireReader {
     return Truncated(n);
   }
   Status Truncated(size_t n) const;
+  Result<uint32_t> CapCount(uint64_t count, size_t min_element_bytes) const;
+  static Status VarintError(const char* reason);
+
+  // Decodes a varint into `out`; returns nullptr, or why it is invalid.
+  // Inline: it runs once or twice per value of a data payload.
+  const char* TakeVarU64(uint64_t& out) {
+    uint64_t v = 0;
+    for (int shift = 0;; shift += 7) {
+      if (pos_ == size_) return "truncated varint";
+      uint8_t byte = data_[pos_++];
+      if (shift == 63 && byte > 1) {
+        // The tenth byte may carry bit 63 only.
+        return (byte & 0x80) ? "varint longer than 10 bytes"
+                             : "varint overflows 64 bits";
+      }
+      v |= static_cast<uint64_t>(byte & 0x7F) << shift;
+      if ((byte & 0x80) == 0) {
+        out = v;
+        return nullptr;
+      }
+    }
+  }
 
   // Unchecked little-endian loads for hot paths that have already passed a
   // Need() covering the bytes. The shift form is endian-independent; the

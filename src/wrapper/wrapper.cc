@@ -61,10 +61,10 @@ Result<std::map<std::string, std::vector<Tuple>>> Wrapper::ApplyHeadTuples(
           [](const std::string* name) -> const std::string& {
             return *name;
           }));
-  // A batch touches only a handful of relations but its tuples arrive
-  // interleaved (rule heads fire round-robin), so resolve each relation
-  // name once into a slot and pick the slot per tuple with a short linear
-  // scan — cheaper than a map lookup and a grouping copy per tuple.
+  // A batch touches only a handful of relations. Senders group its rows by
+  // relation, but any order is valid input, so resolve each relation name
+  // once into a slot and pick the slot per tuple with a short linear scan
+  // — cheaper than a map lookup and a grouping copy per tuple.
   struct Slot {
     const std::string* name;
     Relation* rel;
@@ -145,13 +145,6 @@ std::map<std::string, std::vector<Tuple>> Wrapper::TakePendingDelta() {
   std::map<std::string, std::vector<Tuple>> taken;
   taken.swap(pending_delta_);
   return taken;
-}
-
-size_t Wrapper::PendingDeltaRows() const {
-  std::lock_guard<std::mutex> delta_lock(delta_mu_);
-  size_t total = 0;
-  for (const auto& [relation, rows] : pending_delta_) total += rows.size();
-  return total;
 }
 
 void Wrapper::DropImported() {

@@ -80,9 +80,6 @@ class Wrapper {
   // last call: the seed of UpdateManager::StartIncrementalUpdate.
   std::map<std::string, std::vector<Tuple>> TakePendingDelta();
 
-  // Rows currently pending for the next incremental update.
-  size_t PendingDeltaRows() const;
-
   // Removes every tuple previously recorded as imported, keeping local
   // (seeded/user-inserted) data. A refresh update calls this before the
   // initial link evaluation, so source-side deletions propagate: data no

@@ -3,15 +3,46 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <string>
+
 #include "core/protocol.h"
 #include "core/statistics.h"
 #include "core/super_peer.h"
 #include "membership/heartbeat.h"
+#include "query/parser.h"
+#include "relation/database.h"
 #include "relation/wal.h"
 #include "relation/wire.h"
+#include "workload/topology_gen.h"
 
 namespace codb {
 namespace {
+
+// An interleaved d,e,e,d batch whose values cover the extremes of every
+// run-value body: it encodes as three runs.
+std::vector<HeadTuple> InterleavedBatch() {
+  return {
+      {"d", Tuple{Value::Int(std::numeric_limits<int64_t>::min()),
+                  Value::Int(-1)}},
+      {"e", Tuple{Value::Int(std::numeric_limits<int64_t>::max()),
+                  Value::Double(1.5)}},
+      {"e", Tuple{Value::String("ab"), Value::Null(3, uint64_t{1} << 40)}},
+      {"d", Tuple{Value::Int(0), Value::Int(300)}},
+  };
+}
+
+std::vector<uint8_t> EncodeHeadTuples(const std::vector<HeadTuple>& rows) {
+  WireWriter writer;
+  WriteHeadTuples(writer, rows);
+  return writer.Take();
+}
+
+Status DecodeHeadTuples(const std::vector<uint8_t>& bytes) {
+  WireReader reader(bytes);
+  return ReadHeadTuples(reader).status();
+}
 
 TEST(WireTest, PrimitiveRoundTrips) {
   WireWriter writer;
@@ -90,6 +121,35 @@ TEST(WireTest, GoldenBytesAreStable) {
   EXPECT_EQ(writer.Take(), expected);
 }
 
+TEST(WireTest, HeadTupleRunsGoldenBytes) {
+  // Pins the run encoding of UpdateData/QueryResult row batches; the rows
+  // decode back in their input order.
+  const std::vector<uint8_t> expected = {
+      0x03,                                     // 3 runs
+      0x01, 'd', 0x02, 0x01,                    // d, arity 2, 1 row
+      0x00, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,       // int INT64_MIN (zigzag)
+      0xFF, 0xFF, 0xFF, 0xFF, 0x01,             //
+      0x00, 0x01,                               // int -1
+      0x01, 'e', 0x02, 0x02,                    // e, arity 2, 2 rows
+      0x00, 0xFE, 0xFF, 0xFF, 0xFF, 0xFF,       // int INT64_MAX
+      0xFF, 0xFF, 0xFF, 0xFF, 0x01,             //
+      0x01, 0, 0, 0, 0, 0, 0, 0xF8, 0x3F,       // double 1.5
+      0x02, 0x02, 'a', 'b',                     // string "ab"
+      0x03, 0x03, 0x80, 0x80, 0x80, 0x80, 0x80, 0x20,  // null #3:2^40
+      0x01, 'd', 0x02, 0x01,                    // d, arity 2, 1 row
+      0x00, 0x00,                               // int 0
+      0x00, 0xD8, 0x04,                         // int 300
+  };
+  const std::vector<HeadTuple> rows = InterleavedBatch();
+  const std::vector<uint8_t> bytes = EncodeHeadTuples(rows);
+  EXPECT_EQ(bytes, expected);
+  WireReader reader(bytes);
+  Result<std::vector<HeadTuple>> back = ReadHeadTuples(reader);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(back.value(), rows);
+  EXPECT_TRUE(reader.AtEnd());
+}
+
 TEST(WireTest, TruncatedInputReportsParseError) {
   WireWriter writer;
   writer.WriteString("hello");
@@ -103,6 +163,17 @@ TEST(WireTest, TruncatedInputReportsParseError) {
     EXPECT_FALSE(s.ok());
     EXPECT_EQ(s.status().code(), StatusCode::kParseError);
   }
+  // Every strict prefix of a two-run head-tuple payload fails too.
+  const std::vector<uint8_t> runs = EncodeHeadTuples(
+      {{"d", Tuple{Value::Int(12345), Value::String("xy")}},
+       {"e", Tuple{Value::Null(1, 2), Value::Double(0.25)}}});
+  for (size_t keep = 0; keep < runs.size(); ++keep) {
+    std::vector<uint8_t> prefix(runs.begin(),
+                                runs.begin() + static_cast<long>(keep));
+    EXPECT_EQ(DecodeHeadTuples(prefix).code(), StatusCode::kParseError)
+        << "prefix of " << keep << " bytes";
+  }
+  EXPECT_TRUE(DecodeHeadTuples(runs).ok());
 }
 
 TEST(WireTest, CorruptValueTagRejected) {
@@ -111,6 +182,22 @@ TEST(WireTest, CorruptValueTagRejected) {
   Result<Value> v = reader.ReadValue();
   EXPECT_FALSE(v.ok());
   EXPECT_EQ(v.status().code(), StatusCode::kParseError);
+
+  // Varints: an 11-byte 0x80... run, and a 10-byte one past 64 bits.
+  std::vector<uint8_t> too_long(10, 0x80);
+  too_long.push_back(0x00);
+  std::vector<uint8_t> overflow(9, 0xFF);
+  overflow.push_back(0x02);
+  for (const std::vector<uint8_t>& varint : {too_long, overflow}) {
+    WireReader varint_reader(varint);
+    EXPECT_EQ(varint_reader.ReadVarU64().status().code(),
+              StatusCode::kParseError);
+  }
+  // The same 11 bytes as a run count.
+  EXPECT_EQ(DecodeHeadTuples(too_long).code(), StatusCode::kParseError);
+  // One run of one d(int) row whose value carries no such tag.
+  EXPECT_EQ(DecodeHeadTuples({0x01, 0x01, 'd', 0x01, 0x01, 0x77, 0x00}).code(),
+            StatusCode::kParseError);
 }
 
 // `prefix` followed by a 5-byte tail whose element count claims 2^31
@@ -140,11 +227,6 @@ TEST(WireTest, ForgedElementCountsAreRejected) {
     WireReader reader(bytes);
     EXPECT_EQ(reader.ReadU32List().status().code(), StatusCode::kParseError);
   }
-  {
-    WireReader reader(bytes);
-    EXPECT_EQ(ReadHeadTuples(reader).status().code(),
-              StatusCode::kParseError);
-  }
   EXPECT_FALSE(StatisticsModule::DeserializeBundle(bytes).ok());
   EXPECT_FALSE(WriteAheadLog::Deserialize(bytes).ok());
 
@@ -160,6 +242,50 @@ TEST(WireTest, ForgedElementCountsAreRejected) {
   EXPECT_FALSE(
       FederationReportPayload::Deserialize(ForgedCount(federation.Take()))
           .ok());
+
+  // Head-tuple runs carry varint counts: a forged run count, a forged row
+  // count in a d(int, int) run, and an arity-0 run claiming 2^31 rows.
+  auto forged_run = [](uint64_t runs, uint64_t arity, uint64_t rows) {
+    WireWriter writer;
+    writer.WriteVarU64(runs);
+    writer.WriteVarString("d");
+    writer.WriteVarU64(arity);
+    writer.WriteVarU64(rows);
+    writer.WriteU8(0);
+    return writer.Take();
+  };
+  EXPECT_EQ(DecodeHeadTuples(forged_run(1u << 31, 2, 1)).code(),
+            StatusCode::kParseError);
+  EXPECT_EQ(DecodeHeadTuples(forged_run(1, 2, 1u << 31)).code(),
+            StatusCode::kParseError);
+  EXPECT_EQ(DecodeHeadTuples(forged_run(1, 0, 1u << 31)).code(),
+            StatusCode::kParseError);
+
+  // A run sends its name once but every row decodes to a copy of it: a
+  // name past the relation-name bound, with the largest row count the
+  // bytes still cover, would decode quadratically in the input.
+  auto long_name_run = [](size_t name_bytes) {
+    constexpr uint64_t kRows = 4096;
+    WireWriter writer;
+    writer.WriteVarU64(1);
+    writer.WriteVarString(std::string(name_bytes, 'r'));
+    writer.WriteVarU64(1);
+    writer.WriteVarU64(kRows);
+    for (uint64_t row = 0; row < kRows; ++row) {
+      writer.WriteVarValue(Value::Int(0));
+    }
+    return writer.Take();
+  };
+  constexpr size_t kMaxName = RelationSchema::kMaxNameBytes;
+  EXPECT_EQ(DecodeHeadTuples(long_name_run(kMaxName + 1)).code(),
+            StatusCode::kParseError);
+  EXPECT_TRUE(DecodeHeadTuples(long_name_run(kMaxName)).ok());
+  // No peer can hold a relation the decoder would refuse.
+  Database db;
+  RelationSchema too_long(std::string(kMaxName + 1, 'r'),
+                          {{"a", ValueType::kInt}});
+  EXPECT_EQ(db.CreateRelation(too_long).code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(ProtocolTest, UpdateDataPayloadRoundTrip) {
@@ -167,8 +293,7 @@ TEST(ProtocolTest, UpdateDataPayloadRoundTrip) {
   payload.update = {FlowId::Scope::kUpdate, 4, 17};
   payload.rule_id = "r3";
   payload.path = {0, 2, 5};
-  payload.tuples = {{"d", Tuple{Value::Int(1), Value::Null(0, 0)}},
-                    {"e", Tuple{Value::Int(2), Value::Int(3)}}};
+  payload.tuples = InterleavedBatch();
 
   Result<UpdateDataPayload> back =
       UpdateDataPayload::Deserialize(payload.Serialize());
@@ -176,9 +301,53 @@ TEST(ProtocolTest, UpdateDataPayloadRoundTrip) {
   EXPECT_EQ(back.value().update, payload.update);
   EXPECT_EQ(back.value().rule_id, "r3");
   EXPECT_EQ(back.value().path, payload.path);
-  ASSERT_EQ(back.value().tuples.size(), 2u);
-  EXPECT_EQ(back.value().tuples[0], payload.tuples[0]);
-  EXPECT_EQ(back.value().tuples[1], payload.tuples[1]);
+  // Same rows in the same order: runs never reorder a batch.
+  EXPECT_EQ(back.value().tuples, payload.tuples);
+}
+
+TEST(ProtocolTest, RegroupedMultiHeadFiringsShareTheirNull) {
+  // The kMultiHead rule d(K, Z), e(K, Z) :- d(K, V) mints one null per
+  // firing and instantiates d,e,d,e,...
+  const DatabaseSchema schema = StandardSchema();
+  Result<ConjunctiveQuery> query = ParseQuery("d(K, Z), e(K, Z) :- d(K, V).");
+  ASSERT_TRUE(query.ok()) << query.status().ToString();
+  CoordinationRule rule("r0", "n0", "n1", std::move(query).value());
+  ASSERT_TRUE(rule.Compile(schema, schema).ok());
+
+  Database db;
+  ASSERT_TRUE(db.CreateRelation(*schema.FindRelation("d")).ok());
+  for (int64_t k = 0; k < 5; ++k) {
+    db.Find("d")->Insert(Tuple{Value::Int(k), Value::Int(k * 10)});
+  }
+  std::vector<Tuple> frontiers = rule.EvaluateFrontier(db);
+  ASSERT_EQ(frontiers.size(), 5u);
+  NullMinter minter(7);
+  std::vector<HeadTuple> rows;
+  for (const Tuple& frontier : frontiers) {
+    rule.InstantiateHeadInto(frontier, minter, rows);
+  }
+  ASSERT_EQ(rows[0].relation, "d");
+  ASSERT_EQ(rows[1].relation, "e");
+
+  GroupRunsByRelation(rows);
+  ASSERT_EQ(rows.size(), 10u);
+  for (size_t i = 0; i < 5; ++i) {
+    const HeadTuple& d = rows[i];
+    const HeadTuple& e = rows[5 + i];
+    EXPECT_EQ(d.relation, "d");
+    EXPECT_EQ(e.relation, "e");
+    // The i-th firing: its key, and one null shared by both atoms.
+    EXPECT_EQ(d.tuple.at(0), frontiers[i].at(0));
+    EXPECT_EQ(e.tuple.at(0), frontiers[i].at(0));
+    ASSERT_TRUE(d.tuple.at(1).is_null());
+    EXPECT_EQ(d.tuple.at(1), e.tuple.at(1));
+    EXPECT_EQ(d.tuple.at(1).AsNull().counter, i);
+  }
+  // Grouped rows encode as two runs: the d run header comes first.
+  const std::vector<uint8_t> bytes = EncodeHeadTuples(rows);
+  ASSERT_GE(bytes.size(), 5u);
+  EXPECT_EQ(bytes[0], 0x02);
+  EXPECT_EQ(bytes[4], 0x05);  // five d rows
 }
 
 TEST(ProtocolTest, AllSmallPayloadsRoundTrip) {
